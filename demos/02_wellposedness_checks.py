@@ -23,14 +23,14 @@ for name, (state, params) in (
     for rec in report.failing():
         print(f"  failing: {rec.condition} residual {rec.residual:.3e}")
 
-    bundles = [geometry.finite_differences(c) for c in state.curves]
-    tangents = np.stack([b.d1[0] / b.speed[0] for b in bundles])
+    bundle = geometry.finite_differences(state)
+    tangents, _ = junction.junction_terms(bundle, params.lam)
     nc = junction.nc_value(tangents)
     span = junction.span_dimension(tangents)
     print(f"junction tangents span a {span}-dimensional space, nc = {nc:.4f}")
 
     if span >= 2:
-        coeffs = np.array([1.0 / b.speed[0] for b in bundles])
+        coeffs = 1.0 / bundle.speed[:, 0]
         verdicts = [
             wellposed.junction_complementary(tangents, coeffs, p)
             for p in (1.0, 1.0j, 1.0 + 1.0j)
@@ -41,7 +41,7 @@ for name, (state, params) in (
         print("complementary condition fails: the junction system is "
               "singular exactly when the tangents are collinear")
 
-    margin = wellposed.parabolicity_margin([b.speed for b in bundles])
+    margin = wellposed.parabolicity_margin(bundle.speed)
     print(f"uniform parabolicity margin min(1/|f'|)^4 = {margin:.4e}")
     print()
 

@@ -15,12 +15,10 @@ from .errors import (
 from .geometry import (
     CurveSamples,
     DerivativeBundle,
-    GeometricFields,
     apply_derivative,
     curvature,
     finite_differences,
     flow_velocity,
-    geometric_fields,
     geometric_velocity,
     h_lower,
     nabla_s2_kappa,

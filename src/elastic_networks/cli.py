@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import diagnostics, geometry, io, junction, repar, studies, wellposed
 from .errors import (
     ConfigurationError,
@@ -71,9 +69,9 @@ def cmd_check(args):
               f"end={rec.endpoint} residual={rec.residual:.3e}")
     failed |= not report.passed
 
-    bundles = [geometry.finite_differences(c) for c in state.curves]
+    bundle = geometry.finite_differences(state)
     if state.q >= 2:
-        tangents = np.stack([b.d1[0] / b.speed[0] for b in bundles])
+        tangents, _ = junction.junction_terms(bundle, params.lam)
         nc = junction.nc_value(tangents)
         span = junction.span_dimension(tangents)
         print(f"[{'ok ' if span >= 2 else 'FAIL'}] non-collinearity condition "
@@ -81,7 +79,7 @@ def cmd_check(args):
         if span < 2:
             failed = True
         else:
-            coeffs = np.array([1.0 / b.speed[0] for b in bundles])
+            coeffs = 1.0 / bundle.speed[:, 0]
             lop = all(
                 wellposed.junction_complementary(tangents, coeffs, p)
                 for p in (1.0, 1.0j, 1.0 + 1.0j)
@@ -89,7 +87,7 @@ def cmd_check(args):
             print(f"[{'ok ' if lop else 'FAIL'}] junction complementary condition")
             failed |= not lop
 
-    margin = wellposed.parabolicity_margin([b.speed for b in bundles])
+    margin = wellposed.parabolicity_margin(bundle.speed)
     print(f"parabolicity margin = {margin:.6e}")
     return EXIT_INVALID if failed else EXIT_OK
 

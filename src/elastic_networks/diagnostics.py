@@ -11,29 +11,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, junction
 
 MAX_CSV_SLICES = 200
 
 
-def curve_length(bundle, h):
-    return float(np.trapezoid(bundle.speed, dx=h))
+def _energies(bundle, lam, h):
+    # bending energy plus lam times length, per curve of the bundle
+    kap = geometry.curvature(bundle)
+    density = 0.5 * np.einsum("...j,...j->...", kap, kap) * bundle.speed
+    return (np.trapezoid(density, dx=h, axis=-1)
+            + lam * np.trapezoid(bundle.speed, dx=h, axis=-1))
 
 
 def elastic_energy(curve, lam=0.0):
     """Bending energy plus lam times length of one sampled curve."""
-    bundle = geometry.finite_differences(curve)
-    kap = geometry.curvature(bundle)
-    density = 0.5 * np.einsum("ij,ij->i", kap, kap) * bundle.speed
-    bending = float(np.trapezoid(density, dx=curve.h))
-    return bending + lam * curve_length(bundle, curve.h)
+    return float(_energies(geometry.finite_differences(curve), lam, curve.h))
 
 
-def network_energy(state, params):
-    """Sum of the penalized energies of all curves."""
-    return sum(
-        elastic_energy(c, params.lam[i]) for i, c in enumerate(state.curves)
-    )
+def network_energy(state, params, bundle=None):
+    """Sum of the penalized energies of all curves.
+
+    bundle is the stacked derivative bundle of state, if already built.
+    """
+    if bundle is None:
+        bundle = geometry.finite_differences(state)
+    return float(np.sum(_energies(bundle, params.lam, state.curves[0].h)))
 
 
 def energy_gradient(bundle):
@@ -74,49 +77,39 @@ def first_variation_check(curve, direction, functional="elastic", lam=0.0,
     def value(nodes):
         c = geometry.CurveSamples(nodes)
         b = geometry.finite_differences(c)
-        total = lam_len * curve_length(b, c.h)
         if lam_bend:
-            k = geometry.curvature(b)
-            dens = 0.5 * np.einsum("ij,ij->i", k, k) * b.speed
-            total += lam_bend * float(np.trapezoid(dens, dx=c.h))
-        return total
+            return float(_energies(b, lam_len, c.h))
+        return lam_len * float(np.trapezoid(b.speed, dx=c.h))
 
     numeric = (value(curve.nodes + eps * direction)
                - value(curve.nodes - eps * direction)) / (2.0 * eps)
     return analytic, numeric
 
 
-def boundary_residuals(state, params):
+def boundary_residuals(state, params, bundle=None):
     """Nonlinear boundary-condition residuals of a network state.
 
     Returns a dict with the worst endpoint pin error, second-derivative
     magnitudes at both ends, junction concurrency spread, and the norm of
-    the third-order junction sum.
+    the third-order junction sum.  bundle is the stacked derivative
+    bundle of state, if already built.
     """
-    bundles = [geometry.finite_differences(c) for c in state.curves]
+    if bundle is None:
+        bundle = geometry.finite_differences(state)
+    nodes = state.nodes
     res = {
-        "endpoint": max(
-            float(np.linalg.norm(c.nodes[-1] - params.endpoints[i]))
-            for i, c in enumerate(state.curves)
-        ),
-        "second_derivative": max(
-            max(float(np.linalg.norm(b.d2[0])), float(np.linalg.norm(b.d2[-1])))
-            for b in bundles
-        ),
+        "endpoint": float(np.max(
+            np.linalg.norm(nodes[:, -1] - params.endpoints, axis=-1))),
+        "second_derivative": float(np.max(
+            np.linalg.norm(bundle.d2[:, [0, -1]], axis=-1))),
+        "concurrency": 0.0,
+        "third_order_sum": 0.0,
     }
     if state.q >= 2:
-        base = state.curves[0].nodes[0]
-        res["concurrency"] = max(
-            float(np.linalg.norm(c.nodes[0] - base)) for c in state.curves[1:]
-        )
-        total = np.zeros(state.n)
-        for i, b in enumerate(bundles):
-            tangent = b.d1[0] / b.speed[0]
-            total += geometry.nabla_s_kappa(b)[0] - params.lam[i] * tangent
+        res["concurrency"] = float(np.max(
+            np.linalg.norm(nodes[1:, 0] - nodes[0, 0], axis=-1)))
+        _, total = junction.junction_terms(bundle, params.lam)
         res["third_order_sum"] = float(np.linalg.norm(total))
-    else:
-        res["concurrency"] = 0.0
-        res["third_order_sum"] = 0.0
     return res
 
 
@@ -200,16 +193,12 @@ class DiagnosticsRecord:
 
 
 def record_state(state, params):
-    bundles = [geometry.finite_differences(c) for c in state.curves]
-    res = boundary_residuals(state, params)
+    bundle = geometry.finite_differences(state)
     return DiagnosticsRecord(
         time=state.time,
-        energy=network_energy(state, params),
-        min_speed=min(float(np.min(b.speed)) for b in bundles),
-        endpoint=res["endpoint"],
-        second_derivative=res["second_derivative"],
-        concurrency=res["concurrency"],
-        third_order_sum=res["third_order_sum"],
+        energy=network_energy(state, params, bundle),
+        min_speed=float(np.min(bundle.speed)),
+        **boundary_residuals(state, params, bundle),
     )
 
 

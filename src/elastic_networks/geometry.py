@@ -5,7 +5,9 @@ on [0, 1].  All geometric quantities (curvature chain, tangential speed,
 lower-order terms, full velocity) are evaluated node-wise from the first
 four parameter derivatives, which are computed by second-order finite
 differences: centered stencils in the interior, shifted stencils of the
-same formal order near the two ends.
+same formal order near the two ends.  A network stacks its q curves into
+one (q, N+1, n) array (NetworkState.nodes); its bundle comes from one
+stacked operator, and every formula takes a curve's or a network's bundle.
 """
 
 import math
@@ -78,6 +80,15 @@ def _derivative_matrix(num, order):
     )
 
 
+@lru_cache(maxsize=None)
+def _stacked_operator(num):
+    """The order 1..4 matrices on num nodes stacked vertically, (4 num, num)."""
+    from scipy import sparse
+
+    return sparse.vstack([_derivative_matrix(num, k) for k in range(1, 5)],
+                         format="csr")
+
+
 def apply_derivative(values, order, h):
     """Apply the order-th parameter derivative to per-node samples.
 
@@ -126,8 +137,47 @@ class CurveSamples:
 
 
 @dataclass(frozen=True)
+class NetworkState:
+    """All curves of the network at one instant."""
+
+    curves: list
+    time: float = 0.0
+
+    def __post_init__(self):
+        if not self.curves:
+            raise ConfigurationError("a network needs at least one curve")
+        shape = self.curves[0].nodes.shape
+        for c in self.curves[1:]:
+            if c.nodes.shape != shape:
+                raise ConfigurationError(
+                    "all curves must share the node count and ambient dimension"
+                )
+
+    @property
+    def nodes(self):
+        """The node arrays of all curves stacked as a new (q, N+1, n) array."""
+        return np.stack([c.nodes for c in self.curves])
+
+    @property
+    def q(self):
+        return len(self.curves)
+
+    @property
+    def n(self):
+        return self.curves[0].n
+
+    @property
+    def N(self):
+        return self.curves[0].N
+
+
+@dataclass(frozen=True)
 class DerivativeBundle:
-    """First four parameter derivatives and the speed |f'| of one curve."""
+    """First four parameter derivatives and the speed |f'|.
+
+    Fields are (N+1, n) and (N+1,) for one curve, or (q, N+1, n) and
+    (q, N+1) for a network, curve-major like NetworkState.nodes.
+    """
 
     d1: np.ndarray
     d2: np.ndarray
@@ -135,46 +185,45 @@ class DerivativeBundle:
     d4: np.ndarray
     speed: np.ndarray
 
-    @property
-    def num_nodes(self):
-        return self.speed.shape[0]
+    def __getitem__(self, key):
+        """Index the leading (curve, node) axes of every field alike."""
+        return DerivativeBundle(self.d1[key], self.d2[key], self.d3[key],
+                                self.d4[key], self.speed[key])
 
 
-@dataclass(frozen=True)
-class GeometricFields:
-    """Node-wise geometric quantities of one curve."""
+def finite_differences(curves):
+    """Compute d1..d4 and the speed of one curve or of a whole network.
 
-    kappa: np.ndarray
-    ds_kappa: np.ndarray
-    ds2_kappa: np.ndarray
-    phi_star: np.ndarray
-    velocity: np.ndarray
-
-
-def finite_differences(curve):
-    """Compute d1..d4 and the speed of a sampled curve."""
-    h = curve.h
-    d1 = apply_derivative(curve.nodes, 1, h)
-    d2 = apply_derivative(curve.nodes, 2, h)
-    d3 = apply_derivative(curve.nodes, 3, h)
-    d4 = apply_derivative(curve.nodes, 4, h)
-    speed = np.linalg.norm(d1, axis=1)
+    curves is anything with a .nodes array: a CurveSamples, (N+1, n), or
+    a NetworkState, whose stacked (q, N+1, n) array is differentiated by
+    one cached operator; every field of the bundle keeps the leading
+    shape.  Per-curve and stacked results agree bit for bit.
+    """
+    nodes = curves.nodes
+    num, n = nodes.shape[-2:]
+    columns = np.moveaxis(nodes, -2, 0).reshape(num, -1)
+    raw = (_stacked_operator(num) @ columns).reshape(4, num, *nodes.shape[:-2], n)
+    scale = np.array([(1.0 / (num - 1))**order for order in range(1, 5)])
+    d = np.divide(np.moveaxis(raw, 1, -2), scale.reshape((4,) + (1,) * nodes.ndim),
+                  order="C")
+    speed = np.linalg.norm(d[0], axis=-1)
     _require_regular(speed)
-    return DerivativeBundle(d1=d1, d2=d2, d3=d3, d4=d4, speed=speed)
+    return DerivativeBundle(d1=d[0], d2=d[1], d3=d[2], d4=d[3], speed=speed)
 
 
-def _require_regular(speed, curve=None):
+def _require_regular(speed):
     bad = np.flatnonzero(speed < SPEED_FLOOR)
     if bad.size:
+        curve, node = divmod(int(bad[0]), speed.shape[-1])
         raise RegularityError(
-            f"degenerate speed {speed[bad[0]]:.3e} at node {bad[0]}",
-            curve=curve,
-            node=int(bad[0]),
+            f"degenerate speed {speed.flat[bad[0]]:.3e} at node {node}",
+            curve=curve if speed.ndim > 1 else None,
+            node=node,
         )
 
 
 def _dots(a, b):
-    return np.einsum("ij,ij->i", a, b)
+    return np.einsum("...j,...j->...", a, b)
 
 
 def curvature(bundle):
@@ -182,7 +231,7 @@ def curvature(bundle):
     _require_regular(bundle.speed)
     s = bundle.speed
     proj = _dots(bundle.d2, bundle.d1)
-    return bundle.d2 / s[:, None]**2 - (proj / s**4)[:, None] * bundle.d1
+    return bundle.d2 / s[..., None]**2 - (proj / s**4)[..., None] * bundle.d1
 
 
 def _ds3(bundle):
@@ -191,11 +240,11 @@ def _ds3(bundle):
     s = bundle.speed
     p21 = _dots(d2, d1)
     return (
-        d3 / s[:, None]**3
-        - (_dots(d3, d1) / s**5)[:, None] * d1
-        - 3.0 * (p21 / s**5)[:, None] * d2
-        + 4.0 * (p21**2 / s**7)[:, None] * d1
-        - (_dots(d2, d2) / s**5)[:, None] * d1
+        d3 / s[..., None]**3
+        - (_dots(d3, d1) / s**5)[..., None] * d1
+        - 3.0 * (p21 / s**5)[..., None] * d2
+        + 4.0 * (p21**2 / s**7)[..., None] * d1
+        - (_dots(d2, d2) / s**5)[..., None] * d1
     )
 
 
@@ -215,31 +264,31 @@ def _ds4(bundle):
         - 28.0 * p21**3 / s**9
     )
     return (
-        d4 / s[:, None]**4
-        - 6.0 * (p21 / s**6)[:, None] * d3
-        - 4.0 * (n2 / s**6)[:, None] * d2
-        - 4.0 * (p31 / s**6)[:, None] * d2
-        + 19.0 * (p21**2 / s**8)[:, None] * d2
-        + (tang / s)[:, None] * d1
+        d4 / s[..., None]**4
+        - 6.0 * (p21 / s**6)[..., None] * d3
+        - 4.0 * (n2 / s**6)[..., None] * d2
+        - 4.0 * (p31 / s**6)[..., None] * d2
+        + 19.0 * (p21**2 / s**8)[..., None] * d2
+        + (tang / s)[..., None] * d1
     )
 
 
 def nabla_s_kappa(bundle):
     """Normal projection of the third arclength derivative."""
     _require_regular(bundle.speed)
-    t = bundle.d1 / bundle.speed[:, None]
+    t = bundle.d1 / bundle.speed[..., None]
     ds3 = _ds3(bundle)
-    return ds3 - _dots(ds3, t)[:, None] * t
+    return ds3 - _dots(ds3, t)[..., None] * t
 
 
 def nabla_s2_kappa(bundle):
     """Second covariant arclength derivative of the curvature vector."""
     _require_regular(bundle.speed)
-    t = bundle.d1 / bundle.speed[:, None]
+    t = bundle.d1 / bundle.speed[..., None]
     ds3 = _ds3(bundle)
     ds4 = _ds4(bundle)
     kap = curvature(bundle)
-    return ds4 - _dots(ds4, t)[:, None] * t - _dots(ds3, t)[:, None] * kap
+    return ds4 - _dots(ds4, t)[..., None] * t - _dots(ds3, t)[..., None] * kap
 
 
 def phi_star(bundle, lam):
@@ -269,34 +318,23 @@ def h_lower(bundle, lam):
         - 17.5 * p21**2 / s**6
         + lam
     )
-    return 6.0 * (p21 / s**6)[:, None] * d3 + (coeff / s**2)[:, None] * d2
+    return 6.0 * (p21 / s**6)[..., None] * d3 + (coeff / s**2)[..., None] * d2
 
 
 def flow_velocity(bundle, lam):
     """Node-wise velocity in parabolic form: -f''''/|f'|^4 + h(f)."""
     _require_regular(bundle.speed)
-    return -bundle.d4 / bundle.speed[:, None]**4 + h_lower(bundle, lam)
+    return -bundle.d4 / bundle.speed[..., None]**4 + h_lower(bundle, lam)
 
 
 def geometric_velocity(bundle, lam):
     """The same velocity assembled from the geometric quantities."""
-    t = bundle.d1 / bundle.speed[:, None]
+    t = bundle.d1 / bundle.speed[..., None]
     kap = curvature(bundle)
     k2 = _dots(kap, kap)
     return (
         -nabla_s2_kappa(bundle)
-        - 0.5 * k2[:, None] * kap
+        - 0.5 * k2[..., None] * kap
         + lam * kap
-        + phi_star(bundle, lam)[:, None] * t
-    )
-
-
-def geometric_fields(bundle, lam):
-    """Evaluate the full curvature chain and velocity on one bundle."""
-    return GeometricFields(
-        kappa=curvature(bundle),
-        ds_kappa=nabla_s_kappa(bundle),
-        ds2_kappa=nabla_s2_kappa(bundle),
-        phi_star=phi_star(bundle, lam),
-        velocity=flow_velocity(bundle, lam),
+        + phi_star(bundle, lam)[..., None] * t
     )

@@ -4,6 +4,7 @@ Floating point data is serialized with repr, which round-trips doubles
 exactly.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -42,9 +43,14 @@ def network_from_dict(data):
     return state, params
 
 
-def save_network(path, state, params):
+def _write_json(path, data):
+    # json.dumps runs the C encoder; json.dump writes through the Python one
     with open(path, "w") as fh:
-        json.dump(network_to_dict(state, params), fh)
+        fh.write(json.dumps(data))
+
+
+def save_network(path, state, params):
+    _write_json(path, network_to_dict(state, params))
 
 
 def load_network(path):
@@ -53,20 +59,7 @@ def load_network(path):
 
 
 def save_config(path, config):
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "dt": config.dt,
-                "t_end": config.t_end,
-                "picard_tol": config.picard_tol,
-                "picard_max": config.picard_max,
-                "picard_floor": config.picard_floor,
-                "delta_guard_factor": config.delta_guard_factor,
-                "relinearize_every_step": config.relinearize_every_step,
-                "store_every": config.store_every,
-            },
-            fh,
-        )
+    _write_json(path, dataclasses.asdict(config))
 
 
 def load_config(path):
@@ -111,8 +104,7 @@ def trajectory_from_dict(data):
 
 
 def save_trajectory(path, trajectory, params):
-    with open(path, "w") as fh:
-        json.dump(trajectory_to_dict(trajectory, params), fh)
+    _write_json(path, trajectory_to_dict(trajectory, params))
 
 
 def load_trajectory(path):

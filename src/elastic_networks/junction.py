@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import NonCollinearError, RegularityError
-from .geometry import SPEED_FLOOR
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -91,36 +91,49 @@ def junction_phi(frame, rank_tol=DEFAULT_RANK_TOL):
     return np.linalg.solve(q_mat, rhs)
 
 
-def _projector_complement(direction):
-    return np.eye(direction.size) - np.outer(direction, direction)
+def _projector_complement(d):
+    # I - d_i d_i^T for each row d_i of a (q, n) array
+    return np.eye(d.shape[-1]) - np.einsum("ij,ik->ijk", d, d)
 
 
 def linearize_boundary(frozen, current, lambdas):
     """Frozen E_i matrices, tangents d_i and the boundary vector b.
 
-    frozen and current are per-curve DerivativeBundle objects; only their
-    values at node 0 (the junction) are used.  b couples the frozen
-    operators with the current iterate.
+    frozen and current are stacked DerivativeBundles of the network;
+    only their values at node 0 (the junction) are used.  b couples the
+    frozen operators with the current iterate.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    q = len(frozen)
-    n = frozen[0].d1.shape[1]
-    e_matrices = np.empty((q, n, n))
-    d_vectors = np.empty((q, n))
-    coefficients = np.empty(q)
-    b = np.zeros(n)
-    for i in range(q):
-        s0 = frozen[i].speed[0]
-        s_cur = current[i].speed[0]
-        if s0 < SPEED_FLOOR or s_cur < SPEED_FLOOR:
-            raise RegularityError("degenerate speed at the junction", curve=i, node=0)
-        coefficients[i] = 1.0 / s0
-        d_vectors[i] = frozen[i].d1[0] / s0
-        e_matrices[i] = coefficients[i]**3 * _projector_complement(d_vectors[i])
-
-        t_cur = current[i].d1[0] / s_cur
-        e_bar = _projector_complement(t_cur) / s_cur**3
-        b += (e_matrices[i] - e_bar) @ current[i].d3[0] + lambdas[i] * t_cur
+    s0 = frozen.speed[:, 0]
+    s_cur = current.speed[:, 0]
+    bad = np.flatnonzero(np.minimum(s0, s_cur) < geometry.SPEED_FLOOR)
+    if bad.size:
+        raise RegularityError("degenerate speed at the junction",
+                              curve=int(bad[0]), node=0)
+    coefficients = 1.0 / s0
+    d_vectors = frozen.d1[:, 0] / s0[:, None]
+    # cubes taken one scalar at a time and products by matmul: a vectorized
+    # power or einsum can round differently in the last bit, and that
+    # shifts the Picard iterate at which a step stops
+    cubes = np.array([[c**3 for c in coefficients], [s**3 for s in s_cur]])
+    e_matrices = cubes[0][:, None, None] * _projector_complement(d_vectors)
+    t_cur = current.d1[:, 0] / s_cur[:, None]
+    e_bar = _projector_complement(t_cur) / cubes[1][:, None, None]
+    terms = (np.matmul(e_matrices - e_bar, current.d3[:, 0, :, None])[..., 0]
+             + lambdas[:, None] * t_cur)
     return JunctionLinearization(
-        e_matrices=e_matrices, d_vectors=d_vectors, coefficients=coefficients, b=b
+        e_matrices=e_matrices, d_vectors=d_vectors, coefficients=coefficients,
+        b=terms.sum(axis=0),
     )
+
+
+def junction_terms(bundle, lambdas):
+    """Unit junction tangents T_i and the sum of nabla_s kappa_i - lam_i T_i.
+
+    bundle is the stacked DerivativeBundle of a network, read at node 0;
+    the sum vanishes when the third-order junction condition holds.
+    """
+    tangents = bundle.d1[:, 0] / bundle.speed[:, :1]
+    nsk = geometry.nabla_s_kappa(bundle[:, :1])[:, 0]
+    lambdas = np.asarray(lambdas, dtype=float)
+    return tangents, (nsk - lambdas[:, None] * tangents).sum(axis=0)

@@ -93,11 +93,9 @@ def const_speed_reparam(curve):
 
 def _tangential_speed_fields(state, lam):
     """Per-curve (phi_star, speed) samples of one stored frame."""
-    out = []
-    for i, c in enumerate(state.curves):
-        bundle = geometry.finite_differences(c)
-        out.append((geometry.phi_star(bundle, lam[i]), bundle.speed))
-    return out
+    bundle = geometry.finite_differences(state)
+    phi = geometry.phi_star(bundle, lam[:, None])
+    return list(zip(phi, bundle.speed))
 
 
 def tangential_ode(times, fields_a, fields_b, phi0, curve_index=0):

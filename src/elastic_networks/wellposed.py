@@ -65,22 +65,14 @@ class RootSet:
     roots_neg: np.ndarray  # (q, 2), Im < 0
 
 
-def _junction_sum(bundles, lambdas):
-    total = np.zeros(bundles[0].d1.shape[1])
-    for bundle, lam in zip(bundles, lambdas):
-        nsk = geometry.nabla_s_kappa(bundle)[0]
-        tangent = bundle.d1[0] / bundle.speed[0]
-        total += nsk - lam * tangent
-    return total
-
-
 def check_compat_order0(network, params, tol=DEFAULT_TOL):
     """Residuals of the order-zero compatibility conditions."""
     records = []
-    bundles = [geometry.finite_differences(c) for c in network.curves]
+    bundles = geometry.finite_differences(network)
     q = len(network.curves)
 
-    for i, (curve, bundle) in enumerate(zip(network.curves, bundles)):
+    for i, curve in enumerate(network.curves):
+        bundle = bundles[i]
         scale2 = 1.0 + np.max(bundle.speed)**2
         # rounding in the one-sided stencil is amplified by 1/h^4, so the
         # fourth-derivative conditions carry an explicit float-cancellation floor
@@ -113,12 +105,13 @@ def check_compat_order0(network, params, tol=DEFAULT_TOL):
                 float(np.linalg.norm(network.curves[i].nodes[0] - base)), tol))
         records.append(CompatRecord(
             "third-order-sum", -1, 0,
-            float(np.linalg.norm(_junction_sum(bundles, params.lam))), tol * q))
-        accel = [b.d4[0] / b.speed[0]**4 for b in bundles]
+            float(np.linalg.norm(junction.junction_terms(bundles, params.lam)[1])),
+            tol * q))
+        accel = bundles.d4[:, 0] / bundles.speed[:, :1]**4
         floors = [
             100.0 * np.finfo(float).eps * float(np.max(np.abs(c.nodes)))
-            / c.h**4 / b.speed[0]**4
-            for c, b in zip(network.curves, bundles)
+            / c.h**4 / s**4
+            for c, s in zip(network.curves, bundles.speed[:, 0])
         ]
         for i in range(q):
             for j in range(i + 1, q):
@@ -140,13 +133,11 @@ def check_compat_order1(network, params, tol=DEFAULT_TOL, eps=1e-6):
     order0 = check_compat_order0(network, params, tol)
     records = [CompatRecord(
         "order0-prerequisite", -1, -1, 0.0 if order0.passed else 1.0, 0.5)]
-    bundles = [geometry.finite_differences(c) for c in network.curves]
+    bundle = geometry.finite_differences(network)
     q = len(network.curves)
     h = network.curves[0].h
 
-    velocities = [
-        geometry.flow_velocity(b, params.lam[i]) for i, b in enumerate(bundles)
-    ]
+    velocities = geometry.flow_velocity(bundle, params.lam[:, None])
     for i, vel in enumerate(velocities):
         d2v = apply_derivative(vel, 2, h)
         scale = 1.0 + float(np.max(np.linalg.norm(vel, axis=1)))
@@ -163,11 +154,12 @@ def check_compat_order1(network, params, tol=DEFAULT_TOL, eps=1e-6):
 
     if q >= 2:
         def summed(sign):
-            shifted = []
-            for curve, vel in zip(network.curves, velocities):
-                shifted.append(geometry.CurveSamples(curve.nodes + sign * eps * vel))
-            b = [geometry.finite_differences(c) for c in shifted]
-            return _junction_sum(b, params.lam)
+            shifted = geometry.NetworkState([
+                geometry.CurveSamples(curve.nodes + sign * eps * vel)
+                for curve, vel in zip(network.curves, velocities)
+            ])
+            b = geometry.finite_differences(shifted)
+            return junction.junction_terms(b, params.lam)[1]
 
         dt_sum = (summed(1.0) - summed(-1.0)) / (2.0 * eps)
         # the central difference amplifies the ~eps_mach/h^3 rounding noise

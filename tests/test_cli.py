@@ -159,3 +159,20 @@ def test_equivalence_small_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "equivalence certificate" in out
+
+
+def test_trajectory_file_is_the_json_text_and_round_trips(tmp_path):
+    from elastic_networks import solver
+    state, params = fixtures.triod_bent(N=32)
+    trajectory = solver.evolve(state, params,
+                               SolverConfig(dt=1e-5, t_end=3e-5))
+    path = tmp_path / "traj.json"
+    io.save_trajectory(str(path), trajectory, params)
+    expected = json.dumps(io.trajectory_to_dict(trajectory, params))
+    assert path.read_bytes() == expected.encode()
+    frames, back_params = io.load_trajectory(str(path))
+    assert np.array_equal(back_params.endpoints, params.endpoints)
+    assert np.array_equal(back_params.lam, params.lam)
+    assert [f.time for f in frames] == [s.time for s in trajectory]
+    for frame, state in zip(frames, trajectory):
+        assert np.array_equal(frame.nodes, state.nodes)

@@ -208,3 +208,23 @@ def test_constant_speed_identities():
     second = (np.einsum("ij,ij->i", bundle.d2, bundle.d2)
               + np.einsum("ij,ij->i", bundle.d1, bundle.d3))
     assert np.max(np.abs(second[interior])) < 2e-2 * np.max(bundle.speed) ** 3
+
+
+@pytest.mark.parametrize("q, n", [(1, 2), (3, 2), (4, 3)])
+def test_stacked_bundle_equals_per_curve_bundles(q, n):
+    rng = np.random.default_rng(q * 10 + n)
+    x = np.linspace(0.0, 1.0, 41)[:, None]
+    curves = [
+        geometry.CurveSamples(x * rng.normal(size=n) + 0.1 * np.sin(
+            (2.0 + rng.random(n)) * np.pi * x + rng.random(n)))
+        for _ in range(q)
+    ]
+    stacked = geometry.finite_differences(geometry.NetworkState(curves))
+    assert stacked.d1.shape == (q, 41, n)
+    assert stacked.speed.shape == (q, 41)
+    for i, curve in enumerate(curves):
+        single = geometry.finite_differences(curve)
+        for name in ("d1", "d2", "d3", "d4", "speed"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(single, name))
+        assert np.array_equal(geometry.apply_derivative(curve.nodes, 3, curve.h),
+                              single.d3)

@@ -95,8 +95,9 @@ def test_junction_frame_validates_unit_tangents():
 
 
 def _bundles_for(nodes_list):
-    return [geometry.finite_differences(geometry.CurveSamples(n))
-            for n in nodes_list]
+    # the stacked bundle of the network made of these curves
+    return geometry.finite_differences(geometry.NetworkState(
+        [geometry.CurveSamples(n) for n in nodes_list]))
 
 
 def test_linearize_boundary_projector_structure():

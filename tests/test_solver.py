@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from elastic_networks import diagnostics, fixtures, geometry, solver
+import scipy.sparse as sp
+
+from elastic_networks import diagnostics, fixtures, geometry, junction, solver
 from elastic_networks.errors import (
     ConfigurationError,
     NonCollinearError,
     StepError,
 )
-from elastic_networks.geometry import CurveSamples
+from elastic_networks.geometry import CurveSamples, boundary_offsets, stencil_weights
 from elastic_networks.solver import FlowParams, NetworkState, SolverConfig
 
 
@@ -171,3 +173,112 @@ def test_junction_tangents_stay_balanced():
     ])
     sums = tangents.sum(axis=0)
     assert np.linalg.norm(sums) < 5e-3
+
+
+def test_end_time_must_be_a_whole_number_of_steps():
+    with pytest.raises(ConfigurationError, match="whole number of steps"):
+        SolverConfig(dt=3e-5, t_end=1e-4)
+    state, params = fixtures.triod_equilibrium(N=32)
+    # thirty steps of 1e-5 added one by one reach 3.0000000000000014e-4
+    trajectory = solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=3e-4,
+                                                           store_every=10))
+    assert trajectory[-1].time == 3e-4
+
+
+def test_preflight_message_names_condition_curve_and_end():
+    state, params = fixtures.triod_equilibrium(N=32)
+    nodes = state.curves[1].nodes.copy()
+    nodes[-1] += [0.0, 1e-3]  # moved outer endpoint of curve 1
+    bad = NetworkState([state.curves[0], CurveSamples(nodes), state.curves[2]])
+    config = SolverConfig(dt=1e-6, t_end=2e-6)
+    with pytest.warns(UserWarning, match=r"endpoint-pin\[curve 1, end 1\] = "):
+        solver.evolve(bad, params, config, preflight="warn")
+    with pytest.raises(ConfigurationError, match=r"endpoint-pin\[curve 1, end 1\]"):
+        solver.evolve(bad, params, config, preflight="strict")
+
+
+def test_frozen_coefficients_without_relinearizing():
+    # the first state's coefficients stay frozen for the whole run; the
+    # Picard fixed point is still the implicit step of the full flow
+    state, params = fixtures.triod_bent(N=32)
+    config = SolverConfig(dt=1e-5, t_end=5e-5, relinearize_every_step=False)
+    trajectory = solver.evolve(state, params, config)
+    energies = [diagnostics.network_energy(s, params) for s in trajectory]
+    assert np.all(np.diff(energies) <= 1e-10 * (1.0 + energies[0]))
+    res = diagnostics.boundary_residuals(trajectory[-1], params)
+    assert max(res.values()) <= 1e-8, res
+    # both settings converge each step to the same implicit Euler step, up
+    # to the Picard tolerance of 1e-12 per step
+    relinearized = solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=5e-5))
+    for a, b in zip(trajectory, relinearized):
+        assert np.max(np.abs(a.nodes - b.nodes)) < 1e-11
+
+
+def _coo_step_matrix(frozen, params, dt):
+    """The step matrix assembled entry by entry in COO form (test oracle)."""
+    q, N, n = frozen.q, frozen.N, frozen.n
+    h = frozen.curves[0].h
+    bundles = [geometry.finite_differences(c) for c in frozen.curves]
+
+    def idx(i, k, j):
+        return (i * (N + 1) + k) * n + j
+
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(np.atleast_1d(r))
+        cols.append(np.atleast_1d(c))
+        vals.append(np.atleast_1d(np.asarray(v, dtype=float)))
+
+    w4 = stencil_weights(range(-2, 3), 4) / h**4
+    offs2_lo = boundary_offsets(0, 2, N + 1)
+    w2_lo = stencil_weights(offs2_lo, 2) / h**2
+    offs2_hi = boundary_offsets(N, 2, N + 1)
+    w2_hi = stencil_weights(offs2_hi, 2) / h**2
+    offs3 = boundary_offsets(0, 3, N + 1)
+    w3 = stencil_weights(offs3, 3) / h**3
+    interior = np.arange(2, N - 1)
+    for i in range(q):
+        d_pow4 = 1.0 / bundles[i].speed**4
+        for j in range(n):
+            r = idx(i, interior, j)
+            add(r, r, np.full(interior.size, 1.0 / dt))
+            for m, off in enumerate(range(-2, 3)):
+                add(r, idx(i, interior + off, j), d_pow4[interior] * w4[m])
+            add(idx(i, N, j), idx(i, N, j), 1.0)
+            add(np.full(offs2_hi.size, idx(i, N - 1, j)), idx(i, N + offs2_hi, j),
+                w2_hi)
+            add(np.full(offs2_lo.size, idx(i, 1, j)), idx(i, offs2_lo, j), w2_lo)
+            if q == 1:
+                add(idx(i, 0, j), idx(i, 0, j), 1.0)
+            elif i >= 1:
+                add([idx(i, 0, j)] * 2, [idx(i, 0, j), idx(0, 0, j)], [1.0, -1.0])
+    if q >= 2:
+        stacked = geometry.finite_differences(frozen)
+        e = junction.linearize_boundary(stacked, stacked, params.lam).e_matrices
+        for j in range(n):
+            for i in range(q):
+                for l in range(n):
+                    add(np.full(offs3.size, idx(0, 0, j)), idx(i, offs3, l),
+                        e[i, j, l] * w3)
+    size = q * (N + 1) * n
+    coo = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                np.concatenate(cols))),
+                        shape=(size, size))
+    return sp.csr_matrix(coo)
+
+
+@pytest.mark.parametrize("network", [
+    lambda: fixtures.triod_bent(N=32),
+    lambda: fixtures.q4_spatial(N=24),
+    lambda: fixtures.single_clamped(N=16),
+])
+def test_fixed_pattern_step_matrix_equals_coo_assembly(network):
+    state, params = network()
+    dt = 1e-5
+    matrix = solver.assemble_step(state, state, params, dt).matrix
+    oracle = _coo_step_matrix(state, params, dt)
+    assert matrix.shape == oracle.shape
+    assert np.array_equal(matrix.indptr, oracle.indptr)
+    assert np.array_equal(matrix.indices, oracle.indices)
+    assert np.array_equal(matrix.data, oracle.data)
