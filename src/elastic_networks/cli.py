@@ -156,7 +156,7 @@ def cmd_equivalence(args):
         )
         run_b = evolve(resampled, params, config, preflight="warn")
         certificate, _ = repar.geometric_equivalence(run_a, run_b, params.lam)
-    except ConfigurationError as err:
+    except (ConfigurationError, NonCollinearError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     except (StepError, RegularityError, DiffeoBreakdownError) as err:
@@ -194,7 +194,8 @@ def build_parser():
     mode.add_argument("--strict", action="store_true", default=True,
                       help="reject incompatible initial data (default)")
     mode.add_argument("--warn", action="store_true",
-                      help="downgrade preflight failures to warnings")
+                      help="downgrade compatibility failures to warnings "
+                           "(collinear junction tangents stay fatal)")
     p.add_argument("--svg", action="store_true")
     p.add_argument("--stride", type=int, default=1)
     p.set_defaults(func=cmd_simulate)

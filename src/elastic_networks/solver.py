@@ -1,8 +1,10 @@
 """Implicit time stepping for the penalized elastic flow of networks.
 
-Each step solves the frozen-coefficient linearization of the parabolic
-form of the flow with an implicit Euler discretization in time, and
-iterates that linear solve (Picard) until the step is self-consistent.
+Each step freezes the coefficients at its own start state, solves that
+linearization of the parabolic form of the flow with an implicit Euler
+discretization in time, and iterates the linear solve (Picard) until
+the step is self-consistent; picard_step is the one place that builds
+and solves a step.
 The junction conditions enter as boundary rows of the same sparse
 system: concurrency, vanishing second derivatives, fixed outer ends and
 the linearized third-order balance.  All node-wise work runs on the
@@ -61,7 +63,6 @@ class SolverConfig:
     # the reachable fixed-point accuracy
     picard_floor: float = 1e-7
     delta_guard_factor: float = 0.5
-    relinearize_every_step: bool = True
     store_every: int = 1
 
     def __post_init__(self):
@@ -80,26 +81,7 @@ class SolverConfig:
         return int(round(self.t_end / self.dt))
 
 
-@dataclass(frozen=True)
-class LinearStepSystem:
-    """One assembled implicit step: sparse matrix, right-hand side, layout."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray  # (q (N+1) n,), the C-order ravel of (q, N+1, n)
-    q: int
-    N: int
-    n: int
-
-    def index(self, curve, node, component):
-        return (curve * (self.N + 1) + node) * self.n + component
-
-    def solve(self):
-        lu = sp.linalg.splu(self.matrix.tocsc())
-        rhs = self.rhs.reshape(self.q, self.N + 1, self.n)
-        return list(_solve(self.matrix, lu, rhs))
-
-
-def _solve(matrix, lu, rhs, time=None):
+def _solve(matrix, lu, rhs, time):
     """Nodes (q, N+1, n) solving the factored step for a (q, N+1, n) rhs."""
     b = rhs.ravel()
     x = lu.solve(b)
@@ -171,17 +153,17 @@ def _step_pattern(q, N, n):
     )
 
 
-def _step_matrix(frozen_bundle, params, dt):
-    """Sparse matrix of one implicit step; depends only on the frozen state."""
-    q, num, n = frozen_bundle.d1.shape
+def _step_matrix(bundle, params, dt):
+    """Sparse matrix of one implicit step, frozen at the bundle's state."""
+    q, num, n = bundle.d1.shape
     pattern = _step_pattern(q, num - 1, n)
-    d_pow4 = 1.0 / frozen_bundle.speed[:, 2:num - 2]**4
+    d_pow4 = 1.0 / bundle.speed[:, 2:num - 2]**4
     interior = np.repeat(d_pow4[:, None, :, None] * pattern.w4, n, axis=1)
     interior[..., 2] += 1.0 / dt
     values = [interior.ravel()]
     if q >= 2:
         # the projectors E_i come from the frozen state only
-        lin = junction.linearize_boundary(frozen_bundle, frozen_bundle, params.lam)
+        lin = junction.linearize_boundary(bundle, bundle, params.lam)
         values.append((lin.e_matrices.transpose(1, 0, 2)[..., None]
                        * pattern.w3).ravel())
     values.append(pattern.constants)
@@ -191,69 +173,50 @@ def _step_matrix(frozen_bundle, params, dt):
                          shape=(size, size))
 
 
-def _step_rhs(frozen, frozen_bundle, current_bundle, base, params, dt):
+def _step_rhs(start_bundle, current_bundle, base, params, dt):
     """Right-hand side (q, N+1, n) of one implicit step for a Picard iterate.
 
-    base is the (q, N+1, n) node array at the beginning of the step.
+    base is the (q, N+1, n) node array at the beginning of the step and
+    start_bundle its stacked bundle, which freezes the coefficients.
     """
     q, num, n = base.shape
-    d_pow4 = 1.0 / frozen_bundle.speed**4
+    d_pow4 = 1.0 / start_bundle.speed**4
     remainder = (d_pow4 - 1.0 / current_bundle.speed**4)[..., None] * current_bundle.d4
     lower = geometry.h_lower(current_bundle, params.lam[:, None])
     rhs = np.zeros((q, num, n))
     rhs[:, 2:num - 2] = (base / dt + remainder + lower)[:, 2:num - 2]
     rhs[:, num - 1] = params.endpoints
     if q == 1:
-        rhs[0, 0] = frozen.curves[0].nodes[0]
+        rhs[0, 0] = base[0, 0]
     else:
-        rhs[0, 0] = junction.linearize_boundary(frozen_bundle, current_bundle,
+        rhs[0, 0] = junction.linearize_boundary(start_bundle, current_bundle,
                                                 params.lam).b
     return rhs
 
 
-def assemble_step(frozen, current, params, dt, base=None):
-    """Assemble one implicit Euler step of the linearized flow.
-
-    frozen supplies the coefficients of the fourth-order operator and the
-    junction projectors, current is the Picard iterate feeding the
-    lower-order terms, and base is the state at the beginning of the time
-    step (defaults to current, which is exact on the first iterate).
-    """
-    if base is None:
-        base = current
-    current_bundle = geometry.finite_differences(current)
-    frozen_bundle = (current_bundle if frozen is current
-                     else geometry.finite_differences(frozen))
-    matrix = _step_matrix(frozen_bundle, params, dt)
-    rhs = _step_rhs(frozen, frozen_bundle, current_bundle, base.nodes, params, dt)
-    return LinearStepSystem(matrix=matrix, rhs=rhs.ravel(), q=current.q,
-                            N=current.N, n=current.n)
-
-
-def picard_step(state, params, config, frozen=None, *, frozen_bundle=None,
-                time=None):
+def picard_step(state, params, config, *, bundle=None, time=None):
     """Advance one time step, iterating the linearization to a fixed point.
 
-    frozen_bundle is the stacked bundle of frozen when the caller already
-    has it; when frozen is state the first iterate reuses it as the
-    state's own.  time is the time of the new state, state.time + dt by
-    default.
+    The coefficients are frozen at state, the start of the step.  bundle
+    is state's stacked bundle when the caller already has it; it feeds
+    the step matrix and the first iterate.  time is the time of the new
+    state, state.time + dt by default.
     """
-    if frozen is None:
-        frozen = state
-    if frozen_bundle is None:
-        frozen_bundle = geometry.finite_differences(frozen)
-    current_bundle = (frozen_bundle if frozen is state
-                      else geometry.finite_differences(state))
+    if bundle is None:
+        bundle = geometry.finite_differences(state)
     if time is None:
         time = state.time + config.dt
-    matrix = _step_matrix(frozen_bundle, params, config.dt)
-    lu = sp.linalg.splu(matrix.tocsc())
+    matrix = _step_matrix(bundle, params, config.dt)
+    try:
+        lu = sp.linalg.splu(matrix.tocsc())
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+        raise StepError(f"step matrix cannot be factored: {err}",
+                        time=time) from err
     base = nodes = state.nodes
+    current_bundle = bundle
     previous_change = np.inf
     for _ in range(config.picard_max):
-        rhs = _step_rhs(frozen, frozen_bundle, current_bundle, base, params,
-                        config.dt)
+        rhs = _step_rhs(bundle, current_bundle, base, params, config.dt)
         new_nodes = _solve(matrix, lu, rhs, time)
         change = float(np.max(np.abs(new_nodes - nodes)))
         nodes = new_nodes
@@ -287,7 +250,9 @@ def regularity_guard(state, initial_margin, config):
 def evolve(state, params, config, observers=(), preflight="strict"):
     """Run the flow from state for a time t_end; returns the stored trajectory.
 
-    preflight is "strict" (reject incompatible data), "warn", or "skip".
+    preflight is "strict" (reject incompatible data), "warn" (only warn
+    about incompatible data; collinear junction tangents stay fatal) or
+    "skip".
     On a mid-run failure the raised exception carries the trajectory
     computed so far in its .trajectory attribute.
     """
@@ -298,11 +263,9 @@ def evolve(state, params, config, observers=(), preflight="strict"):
         if state.q >= 2:
             tangents, _ = junction.junction_terms(bundle, params.lam)
             if junction.span_dimension(tangents) < 2:
-                message = ("non-collinearity condition (NC) violated: the "
-                           "junction tangents are collinear")
-                if preflight == "strict":
-                    raise NonCollinearError(message)
-                warnings.warn(message)
+                raise NonCollinearError("non-collinearity condition (NC) "
+                                        "violated: the junction tangents are "
+                                        "collinear")
         report = wellposed.check_compat_order0(state, params)
         if not report.passed:
             lines = ", ".join(
@@ -319,18 +282,14 @@ def evolve(state, params, config, observers=(), preflight="strict"):
     # the last frame lands on state.time + t_end exactly
     times = np.linspace(state.time, state.time + config.t_end, num_steps + 1)
     trajectory = [state]
-    # the first step, and every step with frozen coefficients, reuses the
-    # preflight bundle.  A bundle kept from one step for the next splits the
-    # heap the freed LU factors leave: peak memory at N = 2048 rose 8-12 MB
-    frozen, frozen_bundle = state, bundle
-    del bundle
     try:
         for step in range(num_steps):
-            state = picard_step(state, params, config, frozen,
-                                frozen_bundle=frozen_bundle,
+            state = picard_step(state, params, config, bundle=bundle,
                                 time=float(times[step + 1]))
-            if config.relinearize_every_step:
-                frozen, frozen_bundle = state, None
+            # only the first step reuses the preflight bundle.  A bundle kept
+            # from one step for the next splits the heap the freed LU factors
+            # leave: peak memory at N = 2048 rose 8-12 MB
+            bundle = None
             regularity_guard(state, initial_margin, config)
             if (step + 1) % config.store_every == 0 or step == num_steps - 1:
                 trajectory.append(state)

@@ -134,11 +134,12 @@ def test_simulate_writes_outputs(tmp_path):
 def test_simulate_strict_rejects_collinear_before_stepping(tmp_path, capsys):
     net = _write_network(tmp_path, "net.json", fixtures.collinear_bad(N=48))
     out = str(tmp_path / "run")
-    code = cli.main(["simulate", "--network", net, "--out", out])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_INVALID
-    assert "(NC)" in err
-    assert not os.path.exists(os.path.join(out, "trajectory.json"))
+    for mode in ([], ["--warn"]):
+        code = cli.main(["simulate", "--network", net, "--out", out] + mode)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID
+        assert "(NC)" in err
+        assert not os.path.exists(os.path.join(out, "trajectory.json"))
 
 
 def test_simulate_breakdown_exit_code(tmp_path):
@@ -159,6 +160,13 @@ def test_equivalence_small_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "equivalence certificate" in out
+
+
+def test_equivalence_rejects_collinear_network(tmp_path, capsys):
+    net = _write_network(tmp_path, "net.json", fixtures.collinear_bad(N=48))
+    code = cli.main(["equivalence", "--network", net])
+    assert code == cli.EXIT_INVALID
+    assert "(NC)" in capsys.readouterr().err
 
 
 def test_trajectory_file_is_the_json_text_and_round_trips(tmp_path):

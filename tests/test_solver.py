@@ -97,30 +97,24 @@ def test_spatial_network_in_three_dimensions():
         assert np.linalg.norm(c.nodes[0] - base) < 1e-10
 
 
-def test_assemble_step_reproduces_fixed_point():
-    # on the stationary triod, one linear solve must return the state itself
-    state, params = fixtures.triod_equilibrium(N=32)
-    system = solver.assemble_step(state, state, params, dt=1e-5)
-    new_nodes = system.solve()
-    for nodes, c in zip(new_nodes, state.curves):
-        assert np.max(np.abs(nodes - c.nodes)) < 1e-9
-
-
-def test_linear_step_system_index_layout():
-    state, params = fixtures.triod_equilibrium(N=16)
-    system = solver.assemble_step(state, state, params, dt=1e-5)
-    N, n = state.N, state.n
-    assert system.index(0, 0, 0) == 0
-    assert system.index(1, 0, 0) == (N + 1) * n
-    assert system.index(0, 3, 1) == 3 * n + 1
-    assert system.rhs.shape == (state.q * (N + 1) * n,)
-
-
 def test_preflight_rejects_collinear_network():
     state, params = fixtures.collinear_bad(N=32)
     config = SolverConfig(dt=1e-6, t_end=2e-6)
-    with pytest.raises(NonCollinearError, match="(NC)"):
-        solver.evolve(state, params, config, preflight="strict")
+    for preflight in ("strict", "warn"):
+        with pytest.raises(NonCollinearError, match="(NC)"):
+            solver.evolve(state, params, config, preflight=preflight)
+
+
+def test_singular_step_is_a_step_error_with_partial_trajectory():
+    # collinear junction tangents make the junction rows singular; without
+    # the preflight the first factorization fails
+    state, params = fixtures.collinear_bad(N=32)
+    config = SolverConfig(dt=1e-6, t_end=2e-6)
+    with pytest.raises(StepError, match="cannot be factored") as exc_info:
+        solver.evolve(state, params, config, preflight="skip")
+    err = exc_info.value
+    assert err.time == 1e-6
+    assert len(err.trajectory) == 1 and err.trajectory[0] is state
 
 
 def test_preflight_rejects_incompatible_data_and_warn_proceeds():
@@ -197,23 +191,6 @@ def test_preflight_message_names_condition_curve_and_end():
         solver.evolve(bad, params, config, preflight="strict")
 
 
-def test_frozen_coefficients_without_relinearizing():
-    # the first state's coefficients stay frozen for the whole run; the
-    # Picard fixed point is still the implicit step of the full flow
-    state, params = fixtures.triod_bent(N=32)
-    config = SolverConfig(dt=1e-5, t_end=5e-5, relinearize_every_step=False)
-    trajectory = solver.evolve(state, params, config)
-    energies = [diagnostics.network_energy(s, params) for s in trajectory]
-    assert np.all(np.diff(energies) <= 1e-10 * (1.0 + energies[0]))
-    res = diagnostics.boundary_residuals(trajectory[-1], params)
-    assert max(res.values()) <= 1e-8, res
-    # both settings converge each step to the same implicit Euler step, up
-    # to the Picard tolerance of 1e-12 per step
-    relinearized = solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=5e-5))
-    for a, b in zip(trajectory, relinearized):
-        assert np.max(np.abs(a.nodes - b.nodes)) < 1e-11
-
-
 def _coo_step_matrix(frozen, params, dt):
     """The step matrix assembled entry by entry in COO form (test oracle)."""
     q, N, n = frozen.q, frozen.N, frozen.n
@@ -276,9 +253,34 @@ def _coo_step_matrix(frozen, params, dt):
 def test_fixed_pattern_step_matrix_equals_coo_assembly(network):
     state, params = network()
     dt = 1e-5
-    matrix = solver.assemble_step(state, state, params, dt).matrix
+    matrix = solver._step_matrix(geometry.finite_differences(state), params, dt)
     oracle = _coo_step_matrix(state, params, dt)
     assert matrix.shape == oracle.shape
     assert np.array_equal(matrix.indptr, oracle.indptr)
     assert np.array_equal(matrix.indices, oracle.indices)
     assert np.array_equal(matrix.data, oracle.data)
+
+
+def test_handed_in_bundle_is_not_rebuilt(monkeypatch):
+    state, params = fixtures.triod_bent(N=32)
+    config = SolverConfig(dt=1e-5)
+    bundle = geometry.finite_differences(state)
+    differentiate = geometry.finite_differences
+    seen = []
+
+    def counting(network):
+        seen.append(network.nodes)
+        return differentiate(network)
+
+    monkeypatch.setattr(geometry, "finite_differences", counting)
+
+    def start_state_builds():
+        return sum(np.array_equal(nodes, state.nodes) for nodes in seen)
+
+    handed = solver.picard_step(state, params, config, bundle=bundle)
+    assert seen  # the later iterates are differentiated
+    assert start_state_builds() == 0
+    seen.clear()
+    rebuilt = solver.picard_step(state, params, config)
+    assert start_state_builds() == 1
+    assert np.array_equal(handed.nodes, rebuilt.nodes)
