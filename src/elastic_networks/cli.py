@@ -95,7 +95,6 @@ def cmd_check(args):
 def cmd_simulate(args):
     state, params = _load(args.network)
     config = _load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
     records = []
 
     def observer(s):
@@ -112,6 +111,8 @@ def cmd_simulate(args):
         print(f"breakdown: {err}", file=sys.stderr)
         return EXIT_BREAKDOWN
 
+    # made only now, so that a rejected run leaves no empty directory
+    os.makedirs(args.out, exist_ok=True)
     io.save_trajectory(os.path.join(args.out, "trajectory.json"),
                        trajectory, params)
     records.insert(0, diagnostics.record_state(trajectory[0], params))

@@ -81,14 +81,19 @@ class SolverConfig:
         return int(round(self.t_end / self.dt))
 
 
-def _solve(matrix, lu, rhs, time):
-    """Nodes (q, N+1, n) solving the factored step for a (q, N+1, n) rhs."""
+def _solve(matrix, lu, perm_c, rhs, time):
+    """Nodes (q, N+1, n) solving the factored step for a (q, N+1, n) rhs.
+
+    lu factors matrix with its columns in the order perm_c (SuperLU's
+    convention: column i of matrix is column perm_c[i] of the factored
+    one); each solve is mapped back with x[perm_c].
+    """
     b = rhs.ravel()
-    x = lu.solve(b)
+    x = lu.solve(b)[perm_c]
     # two rounds of iterative refinement keep the boundary rows exact
     # to rounding even when the step matrix is badly conditioned
     for _refine in range(2):
-        x += lu.solve(b - matrix @ x)
+        x += lu.solve(b - matrix @ x)[perm_c]
     residual = np.max(np.abs(matrix @ x - b))
     if residual > LINEAR_RESIDUAL_TOL * (1.0 + np.max(np.abs(b))):
         raise StepError(f"linear step residual {residual:.3e} too large",
@@ -96,11 +101,16 @@ def _solve(matrix, lu, rhs, time):
     return x.reshape(rhs.shape)
 
 
-# CSR structure of the step matrix for one (q, N, n).  The entries are
+# Structure of the step matrix for one (q, N, n).  The entries are
 # listed in a fixed order: interior rows (q, n, N-3, 5), junction rows
 # (n, q, n, 5) when q >= 2, then the constant boundary entries, whose
-# values are kept; order sorts that list into CSR order.
-_StepPattern = namedtuple("_StepPattern", "indptr indices order constants w4 w3")
+# values are kept; order sorts that list into CSR order.  perm_c is the
+# column order SuperLU picks for this pattern (COLAMD and the postorder
+# of the elimination tree depend on the structure alone); csc_* hold the
+# CSC structure of the matrix with its columns in that order, and
+# csc_order sorts the value list into it.
+_StepPattern = namedtuple("_StepPattern", "indptr indices order constants w4 w3 "
+                          "perm_c csc_indptr csc_indices csc_order")
 
 
 @lru_cache(maxsize=None)
@@ -141,20 +151,45 @@ def _step_pattern(q, N, n):
     entries = [np.broadcast_arrays(*e) for e in variable + fixed]
 
     rows, cols = (np.concatenate([e[k].ravel() for e in entries]) for k in (0, 1))
+    size = q * (N + 1) * n
+    # one factorization with seeded stand-in values gives SuperLU's column
+    # order for every matrix of this pattern
+    standin = np.random.default_rng(0).standard_normal(rows.size)
+    perm_c = sp.linalg.splu(sp.csc_matrix((standin, (rows, cols)),
+                                          shape=(size, size))).perm_c
+    # intp: perm_c indexes every solve, and an int32 index is cast on each
+    # use; csc_order, used once per step, stays int32 to halve its memory
+    perm_c = perm_c.astype(np.intp)
     order = np.lexsort((cols, rows))
-    counts = np.bincount(rows, minlength=q * (N + 1) * n)
+    permuted_cols = perm_c[cols]
+    csc_order = np.lexsort((rows, permuted_cols))
     return _StepPattern(
-        indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
+        indptr=_offsets(rows, size),
         indices=cols[order].astype(np.int32),
         order=order,
         constants=np.concatenate([e[2].ravel() for e in entries[len(variable):]]),
         w4=stencil_weights(range(-2, 3), 4) / h**4,
         w3=stencil_weights(offs3, 3) / h**3,
+        perm_c=perm_c,
+        csc_indptr=_offsets(permuted_cols, size),
+        csc_indices=rows[csc_order].astype(np.int32),
+        csc_order=csc_order.astype(np.int32),
     )
 
 
+def _offsets(keys, size):
+    """Compressed-storage offsets (int32) of entries grouped by keys."""
+    return np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=size))]
+                          ).astype(np.int32)
+
+
 def _step_matrix(bundle, params, dt):
-    """Sparse matrix of one implicit step, frozen at the bundle's state."""
+    """Sparse matrix of one implicit step, frozen at the bundle's state.
+
+    Returns it twice, as CSR and as CSC with its columns in the pattern's
+    order perm_c (ready for SuperLU to factor without ordering), and
+    perm_c.
+    """
     q, num, n = bundle.d1.shape
     pattern = _step_pattern(q, num - 1, n)
     d_pow4 = 1.0 / bundle.speed[:, 2:num - 2]**4
@@ -167,10 +202,13 @@ def _step_matrix(bundle, params, dt):
         values.append((lin.e_matrices.transpose(1, 0, 2)[..., None]
                        * pattern.w3).ravel())
     values.append(pattern.constants)
-    data = np.concatenate(values)[pattern.order]
+    values = np.concatenate(values)
     size = q * num * n
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(size, size))
+    return (sp.csr_matrix((values[pattern.order], pattern.indices, pattern.indptr),
+                          shape=(size, size)),
+            sp.csc_matrix((values[pattern.csc_order], pattern.csc_indices,
+                           pattern.csc_indptr), shape=(size, size)),
+            pattern.perm_c)
 
 
 def _step_rhs(start_bundle, current_bundle, base, params, dt):
@@ -206,18 +244,23 @@ def picard_step(state, params, config, *, bundle=None, time=None):
         bundle = geometry.finite_differences(state)
     if time is None:
         time = state.time + config.dt
-    matrix = _step_matrix(bundle, params, config.dt)
+    matrix, permuted, perm_c = _step_matrix(bundle, params, config.dt)
     try:
-        lu = sp.linalg.splu(matrix.tocsc())
+        # the columns already stand in SuperLU's order, so it only factors.
+        # SuperLU takes the diagonal entry as pivot when it ties the largest
+        # magnitude in its column; here that is the permuted matrix's
+        # diagonal, so the pivots could differ only on an exact tie
+        lu = sp.linalg.splu(permuted, permc_spec="NATURAL")
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise StepError(f"step matrix cannot be factored: {err}",
                         time=time) from err
+    del permuted  # no step array outlives the factorization
     base = nodes = state.nodes
     current_bundle = bundle
     previous_change = np.inf
     for _ in range(config.picard_max):
         rhs = _step_rhs(bundle, current_bundle, base, params, config.dt)
-        new_nodes = _solve(matrix, lu, rhs, time)
+        new_nodes = _solve(matrix, lu, perm_c, rhs, time)
         change = float(np.max(np.abs(new_nodes - nodes)))
         nodes = new_nodes
         current = NetworkState(curves=[CurveSamples(x) for x in nodes], time=time)

@@ -139,7 +139,7 @@ def test_simulate_strict_rejects_collinear_before_stepping(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == cli.EXIT_INVALID
         assert "(NC)" in err
-        assert not os.path.exists(os.path.join(out, "trajectory.json"))
+        assert not os.path.exists(out)
 
 
 def test_simulate_breakdown_exit_code(tmp_path):

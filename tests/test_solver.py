@@ -245,20 +245,55 @@ def _coo_step_matrix(frozen, params, dt):
     return sp.csr_matrix(coo)
 
 
-@pytest.mark.parametrize("network", [
+STEP_NETWORKS = [
     lambda: fixtures.triod_bent(N=32),
     lambda: fixtures.q4_spatial(N=24),
     lambda: fixtures.single_clamped(N=16),
-])
+]
+
+
+@pytest.mark.parametrize("network", STEP_NETWORKS)
 def test_fixed_pattern_step_matrix_equals_coo_assembly(network):
     state, params = network()
     dt = 1e-5
-    matrix = solver._step_matrix(geometry.finite_differences(state), params, dt)
+    matrix, _, _ = solver._step_matrix(geometry.finite_differences(state), params, dt)
     oracle = _coo_step_matrix(state, params, dt)
     assert matrix.shape == oracle.shape
     assert np.array_equal(matrix.indptr, oracle.indptr)
     assert np.array_equal(matrix.indices, oracle.indices)
     assert np.array_equal(matrix.data, oracle.data)
+
+
+@pytest.mark.parametrize("network", STEP_NETWORKS)
+def test_cached_column_order_factors_like_default_superlu(network):
+    # SuperLU's own ordering of the real matrix is the oracle: the cached
+    # order, the pivots, the fill and every solve must be the same
+    state, params = network()
+    matrix, permuted, perm_c = solver._step_matrix(
+        geometry.finite_differences(state), params, 1e-5)
+    reference = sp.linalg.splu(matrix.tocsc())
+    assert np.array_equal(perm_c, reference.perm_c)
+    assert np.array_equal(permuted.toarray()[:, perm_c], matrix.toarray())
+    lu = sp.linalg.splu(permuted, permc_spec="NATURAL")
+    assert np.array_equal(lu.perm_r, reference.perm_r)
+    assert (lu.L.nnz, lu.U.nnz) == (reference.L.nnz, reference.U.nnz)
+    identity = np.arange(matrix.shape[0])
+    rhs = np.random.default_rng(3).standard_normal(state.nodes.shape)
+    assert np.array_equal(solver._solve(matrix, lu, perm_c, rhs, 0.0),
+                          solver._solve(matrix, reference, identity, rhs, 0.0))
+
+
+def test_wrong_factor_fails_the_residual_check():
+    # the factor of the dt = 1e-2 matrix is far from the inverse of the
+    # dt = 1e-6 one; refinement cannot close the gap
+    state, params = fixtures.triod_bent(N=32)
+    bundle = geometry.finite_differences(state)
+    matrix, _, perm_c = solver._step_matrix(bundle, params, 1e-6)
+    _, other, _ = solver._step_matrix(bundle, params, 1e-2)
+    lu = sp.linalg.splu(other, permc_spec="NATURAL")
+    with pytest.raises(StepError, match="linear step residual") as exc_info:
+        solver._solve(matrix, lu, perm_c, np.ones(state.nodes.shape), 0.25)
+    assert exc_info.value.time == 0.25
 
 
 def test_handed_in_bundle_is_not_rebuilt(monkeypatch):
