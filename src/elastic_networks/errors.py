@@ -8,10 +8,11 @@ class ConfigurationError(ValueError):
 class RegularityError(RuntimeError):
     """A curve lost the regular-parametrization property |f'| > 0."""
 
-    def __init__(self, message, curve=None, node=None):
+    def __init__(self, message, curve=None, node=None, time=None):
         super().__init__(message)
         self.curve = curve
         self.node = node
+        self.time = time
 
 
 class NonCollinearError(RuntimeError):

@@ -7,7 +7,8 @@ four parameter derivatives, which are computed by second-order finite
 differences: centered stencils in the interior, shifted stencils of the
 same formal order near the two ends.  A network stacks its q curves into
 one (q, N+1, n) array (NetworkState.nodes); its bundle comes from one
-stacked operator, and every formula takes a curve's or a network's bundle.
+block-diagonal operator, and every formula takes a curve's or a network's
+bundle.
 """
 
 import math
@@ -81,12 +82,21 @@ def _derivative_matrix(num, order):
 
 
 @lru_cache(maxsize=None)
-def _stacked_operator(num):
-    """The order 1..4 matrices on num nodes stacked vertically, (4 num, num)."""
+def _block_operator(count, num):
+    """count copies, down the diagonal, of the order 1..4 matrices on num
+    nodes stacked vertically: (count 4 num, count num)."""
     from scipy import sparse
 
-    return sparse.vstack([_derivative_matrix(num, k) for k in range(1, 5)],
-                         format="csr")
+    stacked = sparse.vstack([_derivative_matrix(num, k) for k in range(1, 5)])
+    return sparse.block_diag([stacked] * count, format="csr")
+
+
+@lru_cache(maxsize=None)
+def _scales(num):
+    # h^order for the orders 1..4, shaped to divide a (..., 4, num, n) array
+    scales = np.array([(1.0 / (num - 1))**order for order in range(1, 5)])
+    scales.flags.writeable = False
+    return scales[:, None, None]
 
 
 def apply_derivative(values, order, h):
@@ -176,7 +186,8 @@ class DerivativeBundle:
     """First four parameter derivatives and the speed |f'|.
 
     Fields are (N+1, n) and (N+1,) for one curve, or (q, N+1, n) and
-    (q, N+1) for a network, curve-major like NetworkState.nodes.
+    (q, N+1) for a network, curve-major like NetworkState.nodes; from
+    finite_differences, d1..d4 are slices of one contiguous array.
     """
 
     d1: np.ndarray
@@ -195,23 +206,32 @@ def finite_differences(curves):
     """Compute d1..d4 and the speed of one curve or of a whole network.
 
     curves is anything with a .nodes array: a CurveSamples, (N+1, n), or
-    a NetworkState, whose stacked (q, N+1, n) array is differentiated by
-    one cached operator; every field of the bundle keeps the leading
-    shape.  Per-curve and stacked results agree bit for bit.
+    a NetworkState, (q, N+1, n).  One cached block-diagonal operator
+    differentiates the contiguous node array of all curves at once into
+    one contiguous (..., 4, N+1, n) array, and the bundle's fields are
+    slices of it that keep the leading shape.  Per-curve and stacked
+    results agree bit for bit.
     """
     nodes = curves.nodes
-    num, n = nodes.shape[-2:]
-    columns = np.moveaxis(nodes, -2, 0).reshape(num, -1)
-    raw = (_stacked_operator(num) @ columns).reshape(4, num, *nodes.shape[:-2], n)
-    scale = np.array([(1.0 / (num - 1))**order for order in range(1, 5)])
-    d = np.divide(np.moveaxis(raw, 1, -2), scale.reshape((4,) + (1,) * nodes.ndim),
-                  order="C")
-    speed = np.linalg.norm(d[0], axis=-1)
+    *lead, num, n = nodes.shape
+    count = math.prod(lead)
+    raw = _block_operator(count, num) @ nodes.reshape(count * num, n)
+    d = raw.reshape(*lead, 4, num, n) / _scales(num)
+    d1, d2, d3, d4 = (d[..., k, :, :] for k in range(4))
+    # |d1| with the squares summed in component order, as np.linalg.norm
+    # sums fewer than eight components, so the speeds match it bit for bit
+    squares = d1 * d1
+    speed = squares[..., 0] + squares[..., 1]
+    for j in range(2, n):
+        speed += squares[..., j]
+    speed = np.sqrt(speed, out=speed)
     _require_regular(speed)
-    return DerivativeBundle(d1=d[0], d2=d[1], d3=d[2], d4=d[3], speed=speed)
+    return DerivativeBundle(d1=d1, d2=d2, d3=d3, d4=d4, speed=speed)
 
 
 def _require_regular(speed):
+    if speed.min() >= SPEED_FLOOR:
+        return
     bad = np.flatnonzero(speed < SPEED_FLOOR)
     if bad.size:
         curve, node = divmod(int(bad[0]), speed.shape[-1])
@@ -311,14 +331,15 @@ def h_lower(bundle, lam):
     _require_regular(bundle.speed)
     d1, d2, d3 = bundle.d1, bundle.d2, bundle.d3
     s = bundle.speed
+    s4, s6 = s**4, s**6
     p21 = _dots(d2, d1)
     coeff = (
-        2.5 * _dots(d2, d2) / s**4
-        + 4.0 * _dots(d3, d1) / s**4
-        - 17.5 * p21**2 / s**6
+        2.5 * _dots(d2, d2) / s4
+        + 4.0 * _dots(d3, d1) / s4
+        - 17.5 * p21**2 / s6
         + lam
     )
-    return 6.0 * (p21 / s**6)[..., None] * d3 + (coeff / s**2)[..., None] * d2
+    return 6.0 * (p21 / s6)[..., None] * d3 + (coeff / s**2)[..., None] * d2
 
 
 def flow_velocity(bundle, lam):

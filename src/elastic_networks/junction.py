@@ -6,6 +6,7 @@ tangential speeds, and the frozen-coefficient boundary linearization
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,9 +92,16 @@ def junction_phi(frame, rank_tol=DEFAULT_RANK_TOL):
     return np.linalg.solve(q_mat, rhs)
 
 
+@lru_cache(maxsize=None)
+def _identity(n):
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _projector_complement(d):
     # I - d_i d_i^T for each row d_i of a (q, n) array
-    return np.eye(d.shape[-1]) - np.einsum("ij,ik->ijk", d, d)
+    return _identity(d.shape[-1]) - d[:, :, None] * d[:, None, :]
 
 
 def linearize_boundary(frozen, current, lambdas):
@@ -112,10 +120,12 @@ def linearize_boundary(frozen, current, lambdas):
                               curve=int(bad[0]), node=0)
     coefficients = 1.0 / s0
     d_vectors = frozen.d1[:, 0] / s0[:, None]
-    # cubes taken one scalar at a time and products by matmul: a vectorized
-    # power or einsum can round differently in the last bit, and that
-    # shifts the Picard iterate at which a step stops
-    cubes = np.array([[c**3 for c in coefficients], [s**3 for s in s_cur]])
+    # cubes taken one Python float at a time (the C library's pow) and
+    # products by matmul: a vectorized power or einsum can round
+    # differently in the last bit, and that shifts the Picard iterate at
+    # which a step stops
+    cubes = np.array([[c**3 for c in coefficients.tolist()],
+                      [s**3 for s in s_cur.tolist()]])
     e_matrices = cubes[0][:, None, None] * _projector_complement(d_vectors)
     t_cur = current.d1[:, 0] / s_cur[:, None]
     e_bar = _projector_complement(t_cur) / cubes[1][:, None, None]

@@ -9,7 +9,8 @@ The junction conditions enter as boundary rows of the same sparse
 system: concurrency, vanishing second derivatives, fixed outer ends and
 the linearized third-order balance.  All node-wise work runs on the
 stacked (q, N+1, n) layout of NetworkState.nodes, with one stacked
-derivative bundle per distinct network state.
+derivative bundle per distinct network state: each accepted state is
+differentiated once, and its bundle serves the guard and the next step.
 """
 
 import warnings
@@ -211,25 +212,28 @@ def _step_matrix(bundle, params, dt):
             pattern.perm_c)
 
 
-def _step_rhs(start_bundle, current_bundle, base, params, dt):
-    """Right-hand side (q, N+1, n) of one implicit step for a Picard iterate.
+def _step_rhs(rhs, frozen, current, base_dt, d_pow4, params):
+    """Fill the rows of the step's rhs that change with the Picard iterate.
 
-    base is the (q, N+1, n) node array at the beginning of the step and
-    start_bundle its stacked bundle, which freezes the coefficients.
+    rhs is the (q, N+1, n) buffer of the step, which already holds its
+    constant rows; the interior rows and, for a network, the junction
+    row are rewritten.  frozen is the stacked bundle of the step's start
+    state, which freezes the coefficients, and current the iterate's;
+    base_dt (start nodes over dt) and d_pow4 (1/|f'|^4 of the start
+    state) are taken once per step on the interior nodes 2..N-2.
     """
-    q, num, n = base.shape
-    d_pow4 = 1.0 / start_bundle.speed**4
-    remainder = (d_pow4 - 1.0 / current_bundle.speed**4)[..., None] * current_bundle.d4
-    lower = geometry.h_lower(current_bundle, params.lam[:, None])
-    rhs = np.zeros((q, num, n))
-    rhs[:, 2:num - 2] = (base / dt + remainder + lower)[:, 2:num - 2]
-    rhs[:, num - 1] = params.endpoints
-    if q == 1:
-        rhs[0, 0] = base[0, 0]
-    else:
-        rhs[0, 0] = junction.linearize_boundary(start_bundle, current_bundle,
-                                                params.lam).b
+    inner = slice(2, rhs.shape[1] - 2)
+    cur = current[:, inner]
+    remainder = (d_pow4 - 1.0 / cur.speed**4)[..., None] * cur.d4
+    rhs[:, inner] = base_dt + remainder + geometry.h_lower(cur, params.lam[:, None])
+    if rhs.shape[0] >= 2:
+        rhs[0, 0] = junction.linearize_boundary(frozen, current, params.lam).b
     return rhs
+
+
+# a Picard iterate: a plain node array, with the .nodes that
+# geometry.finite_differences reads
+_Iterate = namedtuple("_Iterate", "nodes")
 
 
 def picard_step(state, params, config, *, bundle=None, time=None):
@@ -238,7 +242,8 @@ def picard_step(state, params, config, *, bundle=None, time=None):
     The coefficients are frozen at state, the start of the step.  bundle
     is state's stacked bundle when the caller already has it; it feeds
     the step matrix and the first iterate.  time is the time of the new
-    state, state.time + dt by default.
+    state, state.time + dt by default.  Iterates stay plain (q, N+1, n)
+    arrays; only the accepted one becomes a NetworkState.
     """
     if bundle is None:
         bundle = geometry.finite_differences(state)
@@ -256,36 +261,48 @@ def picard_step(state, params, config, *, bundle=None, time=None):
                         time=time) from err
     del permuted  # no step array outlives the factorization
     base = nodes = state.nodes
+    q, num, _ = base.shape
+    # frozen once per step: the start state's terms on the interior rows
+    # and the constant rows of the rhs (outer endpoints; for q = 1 the
+    # pinned node 0)
+    inner = slice(2, num - 2)
+    d_pow4 = 1.0 / bundle.speed[:, inner]**4
+    base_dt = base[:, inner] / config.dt
+    rhs = np.zeros_like(base)
+    rhs[:, num - 1] = params.endpoints
+    if q == 1:
+        rhs[0, 0] = base[0, 0]
     current_bundle = bundle
     previous_change = np.inf
     for _ in range(config.picard_max):
-        rhs = _step_rhs(bundle, current_bundle, base, params, config.dt)
+        _step_rhs(rhs, bundle, current_bundle, base_dt, d_pow4, params)
         new_nodes = _solve(matrix, lu, perm_c, rhs, time)
         change = float(np.max(np.abs(new_nodes - nodes)))
         nodes = new_nodes
-        current = NetworkState(curves=[CurveSamples(x) for x in nodes], time=time)
-        if change <= config.picard_tol:
-            return current
-        if change <= config.picard_floor and change > 0.5 * previous_change:
-            # contraction has hit the rounding floor of the linear solver
-            return current
+        # stop at the tolerance, or once contraction has hit the rounding
+        # floor of the linear solver
+        if change <= config.picard_tol or (change <= config.picard_floor
+                                           and change > 0.5 * previous_change):
+            return NetworkState(curves=[CurveSamples(x) for x in nodes], time=time)
         previous_change = change
-        current_bundle = geometry.finite_differences(current)
+        current_bundle = geometry.finite_differences(_Iterate(nodes))
     raise StepError(
         f"Picard iteration stalled (last change {change:.3e})", time=time
     )
 
 
-def regularity_guard(state, initial_margin, config):
-    """Raise once uniform parabolicity degrades past the configured factor."""
-    # the speeds alone: the next step builds its own bundle (see evolve)
-    speeds = [np.linalg.norm(geometry.apply_derivative(c.nodes, 1, c.h), axis=1)
-              for c in state.curves]
-    margin = wellposed.parabolicity_margin(speeds)
+def regularity_guard(state, bundle, initial_margin, config):
+    """Raise once uniform parabolicity degrades past the configured factor.
+
+    bundle is state's stacked bundle; only its speeds are read.
+    """
+    margin = wellposed.parabolicity_margin(bundle.speed)
     if margin < config.delta_guard_factor * initial_margin:
         raise RegularityError(
-            f"parabolicity margin {margin:.3e} fell below "
-            f"{config.delta_guard_factor} of its initial value {initial_margin:.3e}"
+            f"parabolicity margin {margin:.6e} fell to "
+            f"{margin / initial_margin:.6f} of its initial value "
+            f"{initial_margin:.6e}, below the factor {config.delta_guard_factor}",
+            time=state.time,
         )
     return margin
 
@@ -297,7 +314,8 @@ def evolve(state, params, config, observers=(), preflight="strict"):
     about incompatible data; collinear junction tangents stay fatal) or
     "skip".
     On a mid-run failure the raised exception carries the trajectory
-    computed so far in its .trajectory attribute.
+    computed so far in its .trajectory attribute; a StepError, and the
+    guard's RegularityError, carry the time of the failing step in .time.
     """
     if preflight not in ("strict", "warn", "skip"):
         raise ConfigurationError("preflight must be strict, warn or skip")
@@ -309,7 +327,7 @@ def evolve(state, params, config, observers=(), preflight="strict"):
                 raise NonCollinearError("non-collinearity condition (NC) "
                                         "violated: the junction tangents are "
                                         "collinear")
-        report = wellposed.check_compat_order0(state, params)
+        report = wellposed.check_compat_order0(state, params, bundle=bundle)
         if not report.passed:
             lines = ", ".join(
                 f"{r.condition}[curve {r.curve}, end {r.endpoint}] = {r.residual:.3e}"
@@ -329,11 +347,10 @@ def evolve(state, params, config, observers=(), preflight="strict"):
         for step in range(num_steps):
             state = picard_step(state, params, config, bundle=bundle,
                                 time=float(times[step + 1]))
-            # only the first step reuses the preflight bundle.  A bundle kept
-            # from one step for the next splits the heap the freed LU factors
-            # leave: peak memory at N = 2048 rose 8-12 MB
-            bundle = None
-            regularity_guard(state, initial_margin, config)
+            # the accepted state's one bundle: the guard reads its speeds
+            # and the next step starts from it
+            bundle = geometry.finite_differences(state)
+            regularity_guard(state, bundle, initial_margin, config)
             if (step + 1) % config.store_every == 0 or step == num_steps - 1:
                 trajectory.append(state)
             for obs in observers:

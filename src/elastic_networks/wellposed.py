@@ -65,10 +65,13 @@ class RootSet:
     roots_neg: np.ndarray  # (q, 2), Im < 0
 
 
-def check_compat_order0(network, params, tol=DEFAULT_TOL):
-    """Residuals of the order-zero compatibility conditions."""
+def check_compat_order0(network, params, tol=DEFAULT_TOL, bundle=None):
+    """Residuals of the order-zero compatibility conditions.
+
+    bundle is the stacked derivative bundle of network, if already built.
+    """
     records = []
-    bundles = geometry.finite_differences(network)
+    bundles = geometry.finite_differences(network) if bundle is None else bundle
     q = len(network.curves)
 
     for i, curve in enumerate(network.curves):

@@ -8,6 +8,7 @@ closed-form circle values.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elastic_networks import geometry
 from elastic_networks.errors import ConfigurationError, RegularityError
@@ -210,21 +211,50 @@ def test_constant_speed_identities():
     assert np.max(np.abs(second[interior])) < 2e-2 * np.max(bundle.speed) ** 3
 
 
-@pytest.mark.parametrize("q, n", [(1, 2), (3, 2), (4, 3)])
-def test_stacked_bundle_equals_per_curve_bundles(q, n):
-    rng = np.random.default_rng(q * 10 + n)
-    x = np.linspace(0.0, 1.0, 41)[:, None]
-    curves = [
-        geometry.CurveSamples(x * rng.normal(size=n) + 0.1 * np.sin(
-            (2.0 + rng.random(n)) * np.pi * x + rng.random(n)))
-        for _ in range(q)
-    ]
+def _assert_bundle_is_per_order_derivatives(curves):
+    # the network bundle equals the per-curve bundles bit for bit, each
+    # d_k is the order-k matrix applied to the nodes, and the speed is
+    # the norm of d_1
+    num, n = curves[0].nodes.shape
     stacked = geometry.finite_differences(geometry.NetworkState(curves))
-    assert stacked.d1.shape == (q, 41, n)
-    assert stacked.speed.shape == (q, 41)
+    assert stacked.d1.shape == (len(curves), num, n)
+    assert stacked.speed.shape == (len(curves), num)
     for i, curve in enumerate(curves):
         single = geometry.finite_differences(curve)
         for name in ("d1", "d2", "d3", "d4", "speed"):
             assert np.array_equal(getattr(stacked, name)[i], getattr(single, name))
-        assert np.array_equal(geometry.apply_derivative(curve.nodes, 3, curve.h),
-                              single.d3)
+        for order in range(1, 5):
+            assert np.array_equal(
+                getattr(single, f"d{order}"),
+                geometry.apply_derivative(curve.nodes, order, curve.h))
+        assert np.array_equal(single.speed, np.linalg.norm(
+            geometry.apply_derivative(curve.nodes, 1, curve.h), axis=1))
+
+
+@pytest.mark.parametrize("q, n", [(1, 2), (3, 2), (4, 3)])
+def test_stacked_bundle_equals_per_curve_bundles(q, n):
+    rng = np.random.default_rng(q * 10 + n)
+    x = np.linspace(0.0, 1.0, 41)[:, None]
+    _assert_bundle_is_per_order_derivatives([
+        geometry.CurveSamples(x * rng.normal(size=n) + 0.1 * np.sin(
+            (2.0 + rng.random(n)) * np.pi * x + rng.random(n)))
+        for _ in range(q)
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 4), n=st.sampled_from([2, 3]), N=st.integers(8, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_bundle_is_the_per_order_derivatives_bit_for_bit(q, n, N, seed):
+    # a unit-speed line plus a bend of slope at most 0.5, so every speed
+    # is at least 0.5
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, N + 1)[:, None]
+    curves = []
+    for _ in range(q):
+        direction = rng.normal(size=n)
+        direction /= np.linalg.norm(direction)
+        frequency = np.pi * (1.0 + 2.0 * rng.random(n))
+        bend = 0.5 / np.sqrt(n) / frequency * np.sin(frequency * x + rng.random(n))
+        curves.append(geometry.CurveSamples(x * direction + bend))
+    _assert_bundle_is_per_order_derivatives(curves)

@@ -9,6 +9,7 @@ from elastic_networks import diagnostics, fixtures, geometry, junction, solver
 from elastic_networks.errors import (
     ConfigurationError,
     NonCollinearError,
+    RegularityError,
     StepError,
 )
 from elastic_networks.geometry import CurveSamples, boundary_offsets, stencil_weights
@@ -115,6 +116,41 @@ def test_singular_step_is_a_step_error_with_partial_trajectory():
     err = exc_info.value
     assert err.time == 1e-6
     assert len(err.trajectory) == 1 and err.trajectory[0] is state
+
+
+def test_guard_trip_is_a_regularity_error_with_time_and_partial_trajectory():
+    # the strongly skewed triod loses over 2 % of its parabolicity margin
+    # in its second step
+    state, params = fixtures.triod_bent_skewed(N=64, skew=0.8)
+    config = SolverConfig(dt=5e-6, t_end=1e-4, delta_guard_factor=0.98)
+    with pytest.warns(UserWarning, match="incompatible initial network"):
+        with pytest.raises(RegularityError, match="parabolicity margin") as exc_info:
+            solver.evolve(state, params, config, preflight="warn")
+    err = exc_info.value
+    assert err.time == 1e-5
+    assert [frame.time for frame in err.trajectory] == [0.0, 5e-6]
+    assert err.trajectory[0] is state
+    # the ratio is printed, not two margins that round alike
+    ratio = float(str(err).split(" fell to ")[1].split()[0])
+    assert ratio < 0.98
+
+
+def test_evolve_differentiates_each_accepted_state_once(monkeypatch):
+    state, params = fixtures.triod_bent(N=32)
+    config = SolverConfig(dt=1e-5, t_end=1e-4, store_every=1)
+    differentiate = geometry.finite_differences
+    seen = []
+
+    def counting(network):
+        seen.append(network.nodes.tobytes())
+        return differentiate(network)
+
+    monkeypatch.setattr(geometry, "finite_differences", counting)
+    trajectory = solver.evolve(state, params, config)
+    assert len(trajectory) == 11
+    assert len(set(seen)) == len(seen)  # no node array twice
+    for frame in trajectory:
+        assert seen.count(frame.nodes.tobytes()) == 1
 
 
 def test_preflight_rejects_incompatible_data_and_warn_proceeds():
@@ -281,6 +317,59 @@ def test_cached_column_order_factors_like_default_superlu(network):
     rhs = np.random.default_rng(3).standard_normal(state.nodes.shape)
     assert np.array_equal(solver._solve(matrix, lu, perm_c, rhs, 0.0),
                           solver._solve(matrix, reference, identity, rhs, 0.0))
+
+
+def _fresh_step_rhs(start_bundle, current_bundle, base, params, dt):
+    """The rhs of one Picard iterate assembled from scratch (test oracle)."""
+    q, num, n = base.shape
+    d_pow4 = 1.0 / start_bundle.speed**4
+    remainder = (d_pow4 - 1.0 / current_bundle.speed**4)[..., None] * current_bundle.d4
+    lower = geometry.h_lower(current_bundle, params.lam[:, None])
+    rhs = np.zeros((q, num, n))
+    rhs[:, 2:num - 2] = (base / dt + remainder + lower)[:, 2:num - 2]
+    rhs[:, num - 1] = params.endpoints
+    if q == 1:
+        rhs[0, 0] = base[0, 0]
+    else:
+        rhs[0, 0] = junction.linearize_boundary(start_bundle, current_bundle,
+                                                params.lam).b
+    return rhs
+
+
+def _bowed_q4_spatial(N):
+    # the steady tetrahedral network with each spoke bowed off its line
+    state, params = fixtures.q4_spatial(N=N)
+    bump = fixtures.single_clamped(N=N, amplitude=1.0)[0].curves[0].nodes[:, 1]
+    e = np.array([0.3, -0.5, 0.8])
+    curves = [CurveSamples(c.nodes + 0.05 * bump[:, None]
+                           * np.cross(c.nodes[-1] - c.nodes[0], e))
+              for c in state.curves]
+    return NetworkState(curves), params
+
+
+@pytest.mark.parametrize("network", [
+    lambda: fixtures.triod_bent(N=32),
+    lambda: _bowed_q4_spatial(N=24),
+    lambda: fixtures.single_clamped(N=16),
+])
+def test_step_rhs_buffer_equals_fresh_assembly_at_every_iterate(network, monkeypatch):
+    # the step keeps one rhs buffer and rewrites only the rows that change
+    # with the iterate; every iterate's rhs must equal a fresh assembly
+    state, params = network()
+    dt = 1e-5
+    fill = solver._step_rhs
+    iterates = []
+
+    def checking(rhs, frozen, current, *args):
+        out = fill(rhs, frozen, current, *args)
+        assert np.array_equal(out, _fresh_step_rhs(frozen, current, state.nodes,
+                                                   params, dt))
+        iterates.append(current)
+        return out
+
+    monkeypatch.setattr(solver, "_step_rhs", checking)
+    solver.picard_step(state, params, SolverConfig(dt=dt))
+    assert len(iterates) >= 3
 
 
 def test_wrong_factor_fails_the_residual_check():
