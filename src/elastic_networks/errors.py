@@ -30,6 +30,7 @@ class StepError(RuntimeError):
 class DiffeoBreakdownError(RuntimeError):
     """A recovered tangential diffeomorphism lost monotonicity."""
 
-    def __init__(self, message, time=None):
+    def __init__(self, message, time=None, curve=None):
         super().__init__(message)
         self.time = time
+        self.curve = curve

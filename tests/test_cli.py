@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from elastic_networks import cli, fixtures, io
-from elastic_networks.errors import ConfigurationError
+from elastic_networks import cli, fixtures, io, repar
+from elastic_networks.errors import ConfigurationError, DiffeoBreakdownError
 from elastic_networks.solver import SolverConfig
 
 
@@ -160,6 +160,21 @@ def test_equivalence_small_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "equivalence certificate" in out
+
+
+@pytest.mark.filterwarnings("ignore:incompatible initial network")
+def test_equivalence_breakdown_names_the_curve(tmp_path, capsys, monkeypatch):
+    def breaking(run_a, run_b, lam):
+        raise DiffeoBreakdownError(
+            "recovered map of curve 2 lost monotonicity at t=2.000000e-05",
+            time=2e-5, curve=2)
+
+    monkeypatch.setattr(repar, "geometric_equivalence", breaking)
+    net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
+    config = _write_config(tmp_path, dt=1e-5, t_end=2e-5)
+    code = cli.main(["equivalence", "--network", net, "--config", config])
+    assert code == cli.EXIT_BREAKDOWN
+    assert "breakdown: recovered map of curve 2" in capsys.readouterr().err
 
 
 def test_equivalence_rejects_collinear_network(tmp_path, capsys):

@@ -281,9 +281,22 @@ def _coo_step_matrix(frozen, params, dt):
     return sp.csr_matrix(coo)
 
 
+def _bowed_q4_spatial(N):
+    # the steady tetrahedral network with each spoke bowed off its line
+    state, params = fixtures.q4_spatial(N=N)
+    bump = fixtures.single_clamped(N=N, amplitude=1.0)[0].curves[0].nodes[:, 1]
+    e = np.array([0.3, -0.5, 0.8])
+    curves = [CurveSamples(c.nodes + 0.05 * bump[:, None]
+                           * np.cross(c.nodes[-1] - c.nodes[0], e))
+              for c in state.curves]
+    return NetworkState(curves), params
+
+
+# networks that move, so that each step takes several Picard iterates
+# (test_step_rhs_buffer_equals_fresh_assembly_at_every_iterate counts them)
 STEP_NETWORKS = [
     lambda: fixtures.triod_bent(N=32),
-    lambda: fixtures.q4_spatial(N=24),
+    lambda: _bowed_q4_spatial(N=24),
     lambda: fixtures.single_clamped(N=16),
 ]
 
@@ -336,22 +349,7 @@ def _fresh_step_rhs(start_bundle, current_bundle, base, params, dt):
     return rhs
 
 
-def _bowed_q4_spatial(N):
-    # the steady tetrahedral network with each spoke bowed off its line
-    state, params = fixtures.q4_spatial(N=N)
-    bump = fixtures.single_clamped(N=N, amplitude=1.0)[0].curves[0].nodes[:, 1]
-    e = np.array([0.3, -0.5, 0.8])
-    curves = [CurveSamples(c.nodes + 0.05 * bump[:, None]
-                           * np.cross(c.nodes[-1] - c.nodes[0], e))
-              for c in state.curves]
-    return NetworkState(curves), params
-
-
-@pytest.mark.parametrize("network", [
-    lambda: fixtures.triod_bent(N=32),
-    lambda: _bowed_q4_spatial(N=24),
-    lambda: fixtures.single_clamped(N=16),
-])
+@pytest.mark.parametrize("network", STEP_NETWORKS)
 def test_step_rhs_buffer_equals_fresh_assembly_at_every_iterate(network, monkeypatch):
     # the step keeps one rhs buffer and rewrites only the rows that change
     # with the iterate; every iterate's rhs must equal a fresh assembly
