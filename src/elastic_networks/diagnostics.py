@@ -36,7 +36,7 @@ def network_energy(state, params, bundle=None):
     """
     if bundle is None:
         bundle = geometry.finite_differences(state)
-    return float(np.sum(_energies(bundle, params.lam, state.curves[0].h)))
+    return float(np.sum(_energies(bundle, params.lam, 1.0 / state.N)))
 
 
 def energy_gradient(bundle):

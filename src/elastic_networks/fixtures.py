@@ -8,9 +8,10 @@ from .solver import FlowParams, NetworkState
 DEFAULT_N = 96
 
 
-def _straight(direction, length, N):
+def _spokes(dirs, length, N):
+    # straight curves from the origin along the rows of dirs: (q, N+1, n)
     x = np.linspace(0.0, 1.0, N + 1)
-    return CurveSamples(np.outer(x * length, np.asarray(direction, dtype=float)))
+    return (x * length)[:, None] * dirs[:, None, :]
 
 
 def _bump_profile(N):
@@ -51,9 +52,8 @@ def triod_equilibrium(N=DEFAULT_N, length=1.0, lam=1.0):
     angles = np.array([np.pi / 2.0, np.pi / 2.0 + 2.0 * np.pi / 3.0,
                        np.pi / 2.0 + 4.0 * np.pi / 3.0])
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    curves = [_straight(d, length, N) for d in dirs]
     params = FlowParams(endpoints=length * dirs, lam=np.full(3, float(lam)))
-    return NetworkState(curves=curves), params
+    return NetworkState(_spokes(dirs, length, N)), params
 
 
 def triod_bent(N=DEFAULT_N, length=1.0, lam=1.0, amplitude=0.05):
@@ -66,13 +66,10 @@ def triod_bent(N=DEFAULT_N, length=1.0, lam=1.0, amplitude=0.05):
     """
     state, params = triod_equilibrium(N=N, length=length, lam=lam)
     bump = _bump_profile(N)
-    curves = []
-    for c in state.curves:
-        tangent = c.nodes[-1] - c.nodes[0]
-        tangent = tangent / np.linalg.norm(tangent)
-        normal = np.array([-tangent[1], tangent[0]])
-        curves.append(CurveSamples(c.nodes + amplitude * bump[:, None] * normal))
-    return NetworkState(curves=curves), params
+    tangents = [t / np.linalg.norm(t) for t in state.nodes[:, -1] - state.nodes[:, 0]]
+    normals = np.array([[-t[1], t[0]] for t in tangents])
+    bow = amplitude * bump[:, None] * normals[:, None, :]
+    return NetworkState(state.nodes + bow), params
 
 
 def triod_bent_skewed(N=DEFAULT_N, length=1.0, lam=1.0, amplitude=0.05, skew=0.4):
@@ -98,14 +95,11 @@ def triod_bent_skewed(N=DEFAULT_N, length=1.0, lam=1.0, amplitude=0.05, skew=0.4
     angles = np.array([np.pi / 2.0, np.pi / 2.0 + 2.0 * np.pi / 3.0,
                        np.pi / 2.0 + 4.0 * np.pi / 3.0])
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    curves = []
-    for d in dirs:
-        normal = np.array([-d[1], d[0]])
-        nodes = (np.outer(chi * length, d)
-                 + amplitude * bump_poly(chi)[:, None] * normal)
-        curves.append(CurveSamples(nodes))
+    normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
+    nodes = ((chi * length)[:, None] * dirs[:, None, :]
+             + amplitude * bump_poly(chi)[:, None] * normals[:, None, :])
     params = FlowParams(endpoints=length * dirs, lam=np.full(3, float(lam)))
-    return NetworkState(curves=curves), params
+    return NetworkState(nodes), params
 
 
 def collinear_bad(N=DEFAULT_N, length=1.0, lam=1.0):
@@ -115,9 +109,8 @@ def collinear_bad(N=DEFAULT_N, length=1.0, lam=1.0):
     network, so it must be rejected by the preflight checks.
     """
     dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    curves = [_straight(d, length, N) for d in dirs]
     params = FlowParams(endpoints=length * dirs, lam=np.full(2, float(lam)))
-    return NetworkState(curves=curves), params
+    return NetworkState(_spokes(dirs, length, N)), params
 
 
 def q4_spatial(N=DEFAULT_N, length=1.0, lam=1.0):
@@ -132,9 +125,8 @@ def q4_spatial(N=DEFAULT_N, length=1.0, lam=1.0):
         [-1.0, 1.0, -1.0],
         [-1.0, -1.0, 1.0],
     ]) / np.sqrt(3.0)
-    curves = [_straight(d, length, N) for d in dirs]
     params = FlowParams(endpoints=length * dirs, lam=np.full(4, float(lam)))
-    return NetworkState(curves=curves), params
+    return NetworkState(_spokes(dirs, length, N)), params
 
 
 def single_clamped(N=DEFAULT_N, amplitude=0.05, lam=0.5):
@@ -148,7 +140,7 @@ def single_clamped(N=DEFAULT_N, amplitude=0.05, lam=0.5):
     bump = _bump_profile(N)
     nodes = np.stack([x, amplitude * bump], axis=1)
     params = FlowParams(endpoints=np.array([[1.0, 0.0]]), lam=np.array([float(lam)]))
-    return NetworkState(curves=[CurveSamples(nodes)]), params
+    return NetworkState(nodes[None]), params
 
 
 def circle(radius=1.0, N=256, turns=1.0, phase=0.0):

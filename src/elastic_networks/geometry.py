@@ -5,10 +5,10 @@ on [0, 1].  All geometric quantities (curvature chain, tangential speed,
 lower-order terms, full velocity) are evaluated node-wise from the first
 four parameter derivatives, which are computed by second-order finite
 differences: centered stencils in the interior, shifted stencils of the
-same formal order near the two ends.  A network stacks its q curves into
-one (q, N+1, n) array (NetworkState.nodes); its bundle comes from one
-block-diagonal operator, and every formula takes a curve's or a network's
-bundle.
+same formal order near the two ends.  A network stores its q curves as
+one read-only (q, N+1, n) array (NetworkState.nodes); its bundle comes
+from one block-diagonal operator, and every formula takes a curve's or
+a network's bundle.
 """
 
 import math
@@ -115,6 +115,16 @@ def apply_derivative(values, order, h):
     return (_derivative_matrix(num, order) @ v) / h**order
 
 
+def _check_grid(nodes):
+    # the trailing (N+1, n) axes of one curve or of a stacked network
+    if nodes.shape[-1] < 2:
+        raise ConfigurationError("ambient dimension must be at least 2")
+    if nodes.shape[-2] - 1 < MIN_INTERVALS:
+        raise ConfigurationError(
+            f"need at least {MIN_INTERVALS} intervals, got {nodes.shape[-2] - 1}"
+        )
+
+
 @dataclass(frozen=True)
 class CurveSamples:
     """One curve in R^n sampled at the uniform parameters k/N."""
@@ -126,12 +136,7 @@ class CurveSamples:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 2:
             raise ConfigurationError("curve nodes must be a (N+1, n) array")
-        if nodes.shape[1] < 2:
-            raise ConfigurationError("ambient dimension must be at least 2")
-        if nodes.shape[0] - 1 < MIN_INTERVALS:
-            raise ConfigurationError(
-                f"need at least {MIN_INTERVALS} intervals, got {nodes.shape[0] - 1}"
-            )
+        _check_grid(nodes)
 
     @property
     def n(self):
@@ -146,39 +151,50 @@ class CurveSamples:
         return 1.0 / self.N
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NetworkState:
-    """All curves of the network at one instant."""
+    """All curves of the network at one instant.
 
-    curves: list
-    time: float = 0.0
+    curves is the stacked (q, N+1, n) node array, or a sequence of
+    CurveSamples or of (N+1, n) node arrays; it is copied once into
+    .nodes, a read-only (q, N+1, n) array.
+    """
 
-    def __post_init__(self):
-        if not self.curves:
+    nodes: np.ndarray
+    time: float
+
+    def __init__(self, curves, time=0.0):
+        try:
+            nodes = np.array([getattr(c, "nodes", c) for c in curves], dtype=float)
+        except ValueError as err:  # ragged, or entries that are not numbers
+            raise ConfigurationError(
+                "all curves must share the node count and ambient dimension, "
+                "and hold only numbers") from err
+        if nodes.shape[0] == 0:
             raise ConfigurationError("a network needs at least one curve")
-        shape = self.curves[0].nodes.shape
-        for c in self.curves[1:]:
-            if c.nodes.shape != shape:
-                raise ConfigurationError(
-                    "all curves must share the node count and ambient dimension"
-                )
+        if nodes.ndim != 3:
+            raise ConfigurationError("network nodes must be a (q, N+1, n) array")
+        _check_grid(nodes)
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "time", time)
 
     @property
-    def nodes(self):
-        """The node arrays of all curves stacked as a new (q, N+1, n) array."""
-        return np.stack([c.nodes for c in self.curves])
+    def curves(self):
+        """The curves as CurveSamples over read-only views of .nodes."""
+        return [CurveSamples(x) for x in self.nodes]
 
     @property
     def q(self):
-        return len(self.curves)
+        return self.nodes.shape[0]
 
     @property
     def n(self):
-        return self.curves[0].n
+        return self.nodes.shape[2]
 
     @property
     def N(self):
-        return self.curves[0].N
+        return self.nodes.shape[1] - 1
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import json
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import CurveSamples
 from .solver import FlowParams, NetworkState, SolverConfig
 
 NETWORK_FORMAT = "elastic-network/1"
@@ -21,7 +20,7 @@ def network_to_dict(state, params):
     return {
         "format": NETWORK_FORMAT,
         "time": state.time,
-        "curves": [c.nodes.tolist() for c in state.curves],
+        "curves": state.nodes.tolist(),
         "endpoints": params.endpoints.tolist(),
         "lambda": params.lam.tolist(),
     }
@@ -32,15 +31,31 @@ def network_from_dict(data):
         raise ConfigurationError(
             f"unsupported network format {data.get('format')!r}"
         )
-    curves = [CurveSamples(np.asarray(c, dtype=float)) for c in data["curves"]]
-    state = NetworkState(curves=curves, time=float(data.get("time", 0.0)))
-    params = FlowParams(
-        endpoints=np.asarray(data["endpoints"], dtype=float),
-        lam=np.asarray(data["lambda"], dtype=float),
-    )
-    if params.endpoints.shape[0] != state.q:
-        raise ConfigurationError("endpoint count does not match curve count")
-    return state, params
+    state = _state_from(data["curves"], data.get("time", 0.0))
+    return state, _params_from(data, [state])
+
+
+def _state_from(curves, time):
+    """A state read from a file, with finite nodes and a finite time."""
+    try:
+        time = float(time)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"time must be a number, got {time!r}") from err
+    state = NetworkState(curves=curves, time=time)
+    if not (np.isfinite(time) and np.all(np.isfinite(state.nodes))):
+        raise ConfigurationError("node coordinates and time must be finite")
+    return state
+
+
+def _params_from(data, states):
+    """Flow parameters read from a file, with (q, n) endpoints for states."""
+    params = FlowParams(endpoints=data["endpoints"], lam=data["lambda"])
+    for state in states:
+        if params.endpoints.shape != (state.q, state.n):
+            raise ConfigurationError(
+                f"endpoints must have the shape (q, n) = {(state.q, state.n)} "
+                f"of the network, got {params.endpoints.shape}")
+    return params
 
 
 def _write_json(path, data):
@@ -78,7 +93,7 @@ def trajectory_to_dict(trajectory, params):
         "endpoints": params.endpoints.tolist(),
         "lambda": params.lam.tolist(),
         "frames": [
-            {"time": s.time, "curves": [c.nodes.tolist() for c in s.curves]}
+            {"time": s.time, "curves": s.nodes.tolist()}
             for s in trajectory
         ],
     }
@@ -89,18 +104,8 @@ def trajectory_from_dict(data):
         raise ConfigurationError(
             f"unsupported trajectory format {data.get('format')!r}"
         )
-    params = FlowParams(
-        endpoints=np.asarray(data["endpoints"], dtype=float),
-        lam=np.asarray(data["lambda"], dtype=float),
-    )
-    frames = [
-        NetworkState(
-            curves=[CurveSamples(np.asarray(c, dtype=float)) for c in f["curves"]],
-            time=float(f["time"]),
-        )
-        for f in data["frames"]
-    ]
-    return frames, params
+    frames = [_state_from(f["curves"], f["time"]) for f in data["frames"]]
+    return frames, _params_from(data, frames)
 
 
 def save_trajectory(path, trajectory, params):
@@ -116,23 +121,19 @@ def state_to_svg(state, size=400, margin=20):
     """Render a planar network as an SVG drawing with one polyline per curve."""
     if state.n != 2:
         raise ConfigurationError("SVG output needs a planar network")
-    pts = np.concatenate([c.nodes for c in state.curves])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo = state.nodes.min(axis=(0, 1))
+    hi = state.nodes.max(axis=(0, 1))
     span = max(float(np.max(hi - lo)), 1e-12)
     scale = (size - 2 * margin) / span
-
-    def to_pixels(nodes):
-        xy = (nodes - lo) * scale + margin
-        xy[:, 1] = size - xy[:, 1]  # flip the y axis for screen coordinates
-        return xy
+    pixels = (state.nodes - lo) * scale + margin
+    pixels[..., 1] = size - pixels[..., 1]  # flip the y axis for screen coordinates
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">'
     ]
-    for c in state.curves:
-        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in to_pixels(c.nodes.copy()))
+    for xy in pixels:
+        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in xy)
         lines.append(
             f'<polyline fill="none" stroke="black" stroke-width="1.5" '
             f'points="{coords}"/>'

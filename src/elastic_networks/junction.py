@@ -48,8 +48,6 @@ class JunctionLinearization:
     """Frozen boundary operators for the third-order junction condition."""
 
     e_matrices: np.ndarray  # (q, n, n)
-    d_vectors: np.ndarray  # (q, n)
-    coefficients: np.ndarray  # (q,) values 1/|f'| at x = 0
     b: np.ndarray  # (n,)
 
 
@@ -105,7 +103,7 @@ def _projector_complement(d):
 
 
 def linearize_boundary(frozen, current, lambdas):
-    """Frozen E_i matrices, tangents d_i and the boundary vector b.
+    """Frozen E_i matrices and the boundary vector b.
 
     frozen and current are stacked DerivativeBundles of the network;
     only their values at node 0 (the junction) are used.  b couples the
@@ -131,10 +129,7 @@ def linearize_boundary(frozen, current, lambdas):
     e_bar = _projector_complement(t_cur) / cubes[1][:, None, None]
     terms = (np.matmul(e_matrices - e_bar, current.d3[:, 0, :, None])[..., 0]
              + lambdas[:, None] * t_cur)
-    return JunctionLinearization(
-        e_matrices=e_matrices, d_vectors=d_vectors, coefficients=coefficients,
-        b=terms.sum(axis=0),
-    )
+    return JunctionLinearization(e_matrices=e_matrices, b=terms.sum(axis=0))
 
 
 def junction_terms(bundle, lambdas):

@@ -131,28 +131,30 @@ def tangential_ode(times, fields_a, fields_b, phi0):
     times = np.asarray(times, dtype=float)
     phi = np.array(phi0, dtype=float)
     history = [phi]
-    star_b = [star for star, _ in fields_b]
+    # b is read at the fixed grid, so its phi_star is interpolated up front:
+    # at every frame in one call and at every interval midpoint in another
+    star_b = np.stack([star for star, _ in fields_b])
+    grid = np.broadcast_to(np.linspace(0.0, 1.0, phi.shape[-1]), star_b.shape)
+    b_frames = resample(star_b, grid)
+    b_halves = resample(0.5 * star_b[:-1] + 0.5 * star_b[1:], grid[1:])
     # a is read at the warped parameter: interpolate phi_star and speed
     # together as one 2-column field
     star_speed_a = [np.stack(pair, axis=-1) for pair in fields_a]
-    grid = np.broadcast_to(np.linspace(0.0, 1.0, phi.shape[-1]), phi.shape)
 
-    def rate(field_b, field_a, y_vals):
+    def rate(b_vals, field_a, y_vals):
         star_speed = resample(field_a, y_vals)
-        return (resample(field_b, grid) - star_speed[..., 0]) / star_speed[..., 1]
+        return (b_vals - star_speed[..., 0]) / star_speed[..., 1]
 
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         # linear interpolation between the two bracketing frames
-        b0, b_half, b1 = ((1.0 - weight) * star_b[k] + weight * star_b[k + 1]
-                          for weight in (0.0, 0.5, 1.0))
         a0, a_half, a1 = ((1.0 - weight) * star_speed_a[k]
                           + weight * star_speed_a[k + 1]
                           for weight in (0.0, 0.5, 1.0))
-        k1 = rate(b0, a0, phi)
-        k2 = rate(b_half, a_half, np.clip(phi + 0.5 * dt * k1, 0.0, 1.0))
-        k3 = rate(b_half, a_half, np.clip(phi + 0.5 * dt * k2, 0.0, 1.0))
-        k4 = rate(b1, a1, np.clip(phi + dt * k3, 0.0, 1.0))
+        k1 = rate(b_frames[k], a0, phi)
+        k2 = rate(b_halves[k], a_half, np.clip(phi + 0.5 * dt * k1, 0.0, 1.0))
+        k3 = rate(b_halves[k], a_half, np.clip(phi + 0.5 * dt * k2, 0.0, 1.0))
+        k4 = rate(b_frames[k + 1], a1, np.clip(phi + dt * k3, 0.0, 1.0))
         phi = phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         phi[:, 0], phi[:, -1] = 0.0, 1.0
         phi = np.clip(phi, 0.0, 1.0)

@@ -28,7 +28,7 @@ from .errors import (
     RegularityError,
     StepError,
 )
-from .geometry import CurveSamples, NetworkState, boundary_offsets, stencil_weights
+from .geometry import NetworkState, boundary_offsets, stencil_weights
 
 LINEAR_RESIDUAL_TOL = 1e-8
 # t_end must be a whole number of steps to this relative precision
@@ -43,12 +43,18 @@ class FlowParams:
     lam: np.ndarray  # (q,), nonnegative
 
     def __post_init__(self):
-        ends = np.atleast_2d(np.asarray(self.endpoints, dtype=float))
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
+        try:
+            ends = np.atleast_2d(np.asarray(self.endpoints, dtype=float))
+            lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
+        except ValueError as err:  # ragged, or entries that are not numbers
+            raise ConfigurationError(
+                f"endpoints and lam must be numeric arrays: {err}") from err
         object.__setattr__(self, "endpoints", ends)
         object.__setattr__(self, "lam", lam)
         if ends.shape[0] != lam.shape[0]:
             raise ConfigurationError("endpoints and lam must list the same curves")
+        if not (np.all(np.isfinite(ends)) and np.all(np.isfinite(lam))):
+            raise ConfigurationError("endpoints and length penalties must be finite")
         if np.any(lam < 0):
             raise ConfigurationError("length penalties must be nonnegative")
 
@@ -231,19 +237,14 @@ def _step_rhs(rhs, frozen, current, base_dt, d_pow4, params):
     return rhs
 
 
-# a Picard iterate: a plain node array, with the .nodes that
-# geometry.finite_differences reads
-_Iterate = namedtuple("_Iterate", "nodes")
-
-
 def picard_step(state, params, config, *, bundle=None, time=None):
     """Advance one time step, iterating the linearization to a fixed point.
 
     The coefficients are frozen at state, the start of the step.  bundle
     is state's stacked bundle when the caller already has it; it feeds
     the step matrix and the first iterate.  time is the time of the new
-    state, state.time + dt by default.  Iterates stay plain (q, N+1, n)
-    arrays; only the accepted one becomes a NetworkState.
+    state, state.time + dt by default.  Each Picard iterate is a
+    NetworkState at that time, and the converged one is returned.
     """
     if bundle is None:
         bundle = geometry.finite_differences(state)
@@ -260,7 +261,7 @@ def picard_step(state, params, config, *, bundle=None, time=None):
         raise StepError(f"step matrix cannot be factored: {err}",
                         time=time) from err
     del permuted  # no step array outlives the factorization
-    base = nodes = state.nodes
+    base = state.nodes
     q, num, _ = base.shape
     # frozen once per step: the start state's terms on the interior rows
     # and the constant rows of the rhs (outer endpoints; for q = 1 the
@@ -272,20 +273,20 @@ def picard_step(state, params, config, *, bundle=None, time=None):
     rhs[:, num - 1] = params.endpoints
     if q == 1:
         rhs[0, 0] = base[0, 0]
-    current_bundle = bundle
+    current, current_bundle = state, bundle
     previous_change = np.inf
     for _ in range(config.picard_max):
         _step_rhs(rhs, bundle, current_bundle, base_dt, d_pow4, params)
-        new_nodes = _solve(matrix, lu, perm_c, rhs, time)
-        change = float(np.max(np.abs(new_nodes - nodes)))
-        nodes = new_nodes
+        new = NetworkState(_solve(matrix, lu, perm_c, rhs, time), time=time)
+        change = float(np.max(np.abs(new.nodes - current.nodes)))
+        current = new
         # stop at the tolerance, or once contraction has hit the rounding
         # floor of the linear solver
         if change <= config.picard_tol or (change <= config.picard_floor
                                            and change > 0.5 * previous_change):
-            return NetworkState(curves=[CurveSamples(x) for x in nodes], time=time)
+            return current
         previous_change = change
-        current_bundle = geometry.finite_differences(_Iterate(nodes))
+        current_bundle = geometry.finite_differences(current)
     raise StepError(
         f"Picard iteration stalled (last change {change:.3e})", time=time
     )

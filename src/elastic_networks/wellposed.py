@@ -72,18 +72,19 @@ def check_compat_order0(network, params, tol=DEFAULT_TOL, bundle=None):
     """
     records = []
     bundles = geometry.finite_differences(network) if bundle is None else bundle
-    q = len(network.curves)
+    nodes = network.nodes
+    q, h = network.q, 1.0 / network.N
+    # rounding in the one-sided stencil is amplified by 1/h^4, so the
+    # fourth-derivative conditions carry an explicit float-cancellation floor
+    floors4 = [100.0 * np.finfo(float).eps * float(peak) / h**4
+               for peak in np.max(np.abs(nodes), axis=(1, 2))]
 
-    for i, curve in enumerate(network.curves):
+    for i in range(q):
         bundle = bundles[i]
         scale2 = 1.0 + np.max(bundle.speed)**2
-        # rounding in the one-sided stencil is amplified by 1/h^4, so the
-        # fourth-derivative conditions carry an explicit float-cancellation floor
-        floor4 = (100.0 * np.finfo(float).eps
-                  * float(np.max(np.abs(curve.nodes))) / curve.h**4)
         records.append(CompatRecord(
             "endpoint-pin", i, 1,
-            float(np.linalg.norm(curve.nodes[-1] - params.endpoints[i])), tol))
+            float(np.linalg.norm(nodes[i, -1] - params.endpoints[i])), tol))
         records.append(CompatRecord(
             "second-derivative", i, 0,
             float(np.linalg.norm(bundle.d2[0])), tol * scale2))
@@ -93,29 +94,24 @@ def check_compat_order0(network, params, tol=DEFAULT_TOL, bundle=None):
         r4_hi = float(np.linalg.norm(bundle.d4[-1])) / bundle.speed[-1]**4
         records.append(CompatRecord(
             "fourth-derivative", i, 1, r4_hi,
-            tol * (1.0 + r4_hi) + floor4 / bundle.speed[-1]**4))
+            tol * (1.0 + r4_hi) + floors4[i] / bundle.speed[-1]**4))
         if q == 1:
             r4_lo = float(np.linalg.norm(bundle.d4[0])) / bundle.speed[0]**4
             records.append(CompatRecord(
                 "fourth-derivative", i, 0, r4_lo,
-                tol * (1.0 + r4_lo) + floor4 / bundle.speed[0]**4))
+                tol * (1.0 + r4_lo) + floors4[i] / bundle.speed[0]**4))
 
     if q >= 2:
-        base = network.curves[0].nodes[0]
         for i in range(1, q):
             records.append(CompatRecord(
                 "concurrency", i, 0,
-                float(np.linalg.norm(network.curves[i].nodes[0] - base)), tol))
+                float(np.linalg.norm(nodes[i, 0] - nodes[0, 0])), tol))
         records.append(CompatRecord(
             "third-order-sum", -1, 0,
             float(np.linalg.norm(junction.junction_terms(bundles, params.lam)[1])),
             tol * q))
         accel = bundles.d4[:, 0] / bundles.speed[:, :1]**4
-        floors = [
-            100.0 * np.finfo(float).eps * float(np.max(np.abs(c.nodes)))
-            / c.h**4 / s**4
-            for c, s in zip(network.curves, bundles.speed[:, 0])
-        ]
+        floors = [f / s**4 for f, s in zip(floors4, bundles.speed[:, 0])]
         for i in range(q):
             for j in range(i + 1, q):
                 scale = 1.0 + max(np.linalg.norm(accel[i]), np.linalg.norm(accel[j]))
@@ -137,8 +133,9 @@ def check_compat_order1(network, params, tol=DEFAULT_TOL, eps=1e-6):
     records = [CompatRecord(
         "order0-prerequisite", -1, -1, 0.0 if order0.passed else 1.0, 0.5)]
     bundle = geometry.finite_differences(network)
-    q = len(network.curves)
-    h = network.curves[0].h
+    nodes = network.nodes
+    q, h = network.q, 1.0 / network.N
+    peaks = np.max(np.abs(nodes), axis=(1, 2))
 
     velocities = geometry.flow_velocity(bundle, params.lam[:, None])
     for i, vel in enumerate(velocities):
@@ -146,8 +143,7 @@ def check_compat_order1(network, params, tol=DEFAULT_TOL, eps=1e-6):
         scale = 1.0 + float(np.max(np.linalg.norm(vel, axis=1)))
         # the velocity already carries ~eps_mach/h^4 stencil rounding noise,
         # which the second derivative amplifies by a further 1/h^2
-        floor = (100.0 * np.finfo(float).eps
-                 * float(np.max(np.abs(network.curves[i].nodes))) / h**6)
+        floor = 100.0 * np.finfo(float).eps * float(peaks[i]) / h**6
         records.append(CompatRecord(
             "second-derivative-of-velocity", i, 0,
             float(np.linalg.norm(d2v[0])), tol * scale + floor))
@@ -157,18 +153,14 @@ def check_compat_order1(network, params, tol=DEFAULT_TOL, eps=1e-6):
 
     if q >= 2:
         def summed(sign):
-            shifted = geometry.NetworkState([
-                geometry.CurveSamples(curve.nodes + sign * eps * vel)
-                for curve, vel in zip(network.curves, velocities)
-            ])
+            shifted = geometry.NetworkState(nodes + sign * eps * velocities)
             b = geometry.finite_differences(shifted)
             return junction.junction_terms(b, params.lam)[1]
 
         dt_sum = (summed(1.0) - summed(-1.0)) / (2.0 * eps)
         # the central difference amplifies the ~eps_mach/h^3 rounding noise
         # of the third-derivative stencils by 1/eps
-        scale = max(float(np.max(np.abs(c.nodes))) for c in network.curves)
-        floor = 100.0 * np.finfo(float).eps * scale / h**3 / eps
+        floor = 100.0 * np.finfo(float).eps * float(np.max(peaks)) / h**3 / eps
         records.append(CompatRecord(
             "third-order-sum-rate", -1, 0,
             float(np.linalg.norm(dt_sum)), tol * q / eps * 1e-2 + floor))

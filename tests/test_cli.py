@@ -39,6 +39,75 @@ def test_network_format_guard():
         io.network_from_dict({"format": "something-else"})
 
 
+def _per_curve(state):
+    # the per-curve serialization of a state's nodes, as a list per curve
+    return [c.tolist() for c in state.nodes]
+
+
+def test_json_text_equals_per_curve_serialization():
+    from elastic_networks import solver
+    state, params = fixtures.triod_bent(N=32)
+    trajectory = solver.evolve(state, params,
+                               SolverConfig(dt=1e-5, t_end=3e-5))
+    ends, lam = params.endpoints.tolist(), params.lam.tolist()
+    assert json.dumps(io.network_to_dict(state, params)) == json.dumps({
+        "format": io.NETWORK_FORMAT, "time": state.time,
+        "curves": _per_curve(state), "endpoints": ends, "lambda": lam})
+    assert json.dumps(io.trajectory_to_dict(trajectory, params)) == json.dumps({
+        "format": io.TRAJECTORY_FORMAT, "endpoints": ends, "lambda": lam,
+        "frames": [{"time": s.time, "curves": _per_curve(s)}
+                   for s in trajectory]})
+
+
+def _spoil_endpoint_dimension(data):
+    data["endpoints"] = [e + [0.0] for e in data["endpoints"]]
+
+
+def _spoil_endpoint_rows(data):
+    data["endpoints"][1] = data["endpoints"][1][:1]
+
+
+def _spoil_time(data):
+    data["time"] = "abc"
+
+
+def _spoil_node(data):
+    data["curves"][1][5][0] = float("nan")
+
+
+def _spoil_lambda(data):
+    data["lambda"][2] = float("nan")
+
+
+def _spoil_endpoint(data):
+    data["endpoints"][0][1] = float("inf")
+
+
+@pytest.mark.parametrize("spoil", [_spoil_endpoint_dimension, _spoil_endpoint_rows,
+                                   _spoil_time, _spoil_node, _spoil_lambda,
+                                   _spoil_endpoint])
+@pytest.mark.parametrize("command", [["check"], ["simulate", "--warn"]],
+                         ids=["check", "simulate-warn"])
+def test_malformed_network_file_is_invalid(tmp_path, capsys, spoil, command):
+    state, params = fixtures.triod_bent(N=32)
+    data = io.network_to_dict(state, params)
+    spoil(data)
+    path = str(tmp_path / "net.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)  # NaN and Infinity are written as such
+    out = str(tmp_path / "run")
+    argv = command + ["--network", path]
+    if command[0] == "simulate":
+        argv += ["--out", out]
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc_info.value.code == cli.EXIT_INVALID
+    assert "invalid network file" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_config_roundtrip(tmp_path):
     config = SolverConfig(dt=2e-6, t_end=1e-5, store_every=3)
     path = str(tmp_path / "config.json")
@@ -155,8 +224,9 @@ def test_simulate_breakdown_exit_code(tmp_path):
 def test_equivalence_small_run(tmp_path, capsys):
     net = _write_network(tmp_path, "net.json", fixtures.triod_bent_skewed(N=64))
     config = _write_config(tmp_path, dt=1e-5, t_end=2e-4)
-    code = cli.main(["equivalence", "--network", net, "--config", config,
-                     "--tol", "2e-3"])
+    with pytest.warns(UserWarning, match="incompatible initial network"):
+        code = cli.main(["equivalence", "--network", net, "--config", config,
+                         "--tol", "2e-3"])
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "equivalence certificate" in out

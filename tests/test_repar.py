@@ -134,7 +134,8 @@ def test_geometric_equivalence_rejects_other_network_shapes(other):
 def test_geometric_equivalence_constant_speed_pair():
     # a short raw/reparametrized pair: the certificate must beat the raw
     # parametrization mismatch by a wide margin
-    traj_a, traj_b, params = _skewed_pair(0.4)
+    with pytest.warns(UserWarning, match="incompatible initial network"):
+        traj_a, traj_b, params = _skewed_pair(0.4)
     cert, _ = repar.geometric_equivalence(traj_a, traj_b, params.lam)
     raw = max(
         float(np.max(np.linalg.norm(a.nodes - b.nodes, axis=1)))

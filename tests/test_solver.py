@@ -21,8 +21,36 @@ def test_network_state_validation():
         NetworkState([])
     a = CurveSamples(np.outer(np.linspace(0, 1, 17), [1.0, 0.0]))
     b = CurveSamples(np.outer(np.linspace(0, 1, 33), [0.0, 1.0]))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="share the node count"):
         NetworkState([a, b])
+    ragged = [[[0.0, 0.0]] * 9, [[0.0, 0.0]] * 10]
+    with pytest.raises(ConfigurationError, match="share the node count"):
+        NetworkState(ragged)
+    with pytest.raises(ConfigurationError, match="ambient dimension"):
+        NetworkState(np.zeros((2, 9, 1)))  # n = 1
+    with pytest.raises(ConfigurationError, match="intervals"):
+        NetworkState(np.zeros((2, 8, 2)))  # N = 7
+
+
+def test_network_state_stores_one_read_only_array():
+    source = fixtures.triod_bent(N=32)[0].nodes.copy()
+    curves = [CurveSamples(x.copy()) for x in source]
+    state = NetworkState(source, time=0.5)
+    from_curves = NetworkState(curves=curves, time=0.5)
+    assert state.nodes is state.nodes
+    assert not state.nodes.flags.writeable
+    with pytest.raises(ValueError):
+        state.nodes[0, 0, 0] = 1.0
+    assert np.array_equal(from_curves.nodes, state.nodes)
+    # the inputs were copied: changing them leaves both states as built
+    expected = source.copy()
+    source += 1.0
+    curves[0].nodes[0] += 1.0
+    assert np.array_equal(state.nodes, expected)
+    assert np.array_equal(from_curves.nodes, expected)
+    assert (state.q, state.N, state.n) == (3, 32, 2)
+    for i, curve in enumerate(state.curves):
+        assert np.array_equal(curve.nodes, state.nodes[i])
 
 
 def test_flow_params_validation():
