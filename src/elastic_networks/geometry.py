@@ -62,22 +62,21 @@ def _derivative_matrix(num, order):
     from scipy import sparse
 
     hw = _CENTERED_HALF_WIDTH[order]
-    rows, cols, vals = [], [], []
-    w = _cached_weights(tuple(range(-hw, hw + 1)), order)
-    for k in range(hw, num - hw):
-        for j, off in enumerate(range(-hw, hw + 1)):
-            rows.append(k)
-            cols.append(k + off)
-            vals.append(w[j])
-    for k in list(range(hw)) + list(range(num - hw, num)):
-        offs = boundary_offsets(k, order, num)
-        wb = stencil_weights(offs, order)
-        for off, weight in zip(offs, wb):
-            rows.append(k)
-            cols.append(k + off)
-            vals.append(weight)
+    band = np.arange(-hw, hw + 1)
+    interior = np.arange(hw, num - hw)
+    # the centered band of every interior row at once, then the shifted
+    # stencils of the hw rows at each end
+    ends = [*range(hw), *range(num - hw, num)]
+    shifted = [boundary_offsets(k, order, num) for k in ends]
+    rows = [np.repeat(interior, band.size)]
+    rows += [np.full(o.size, k) for k, o in zip(ends, shifted)]
+    cols = [(interior[:, None] + band).ravel()]
+    cols += [k + o for k, o in zip(ends, shifted)]
+    vals = [np.tile(_cached_weights(tuple(band.tolist()), order), interior.size)]
+    vals += [_cached_weights(tuple(o.tolist()), order) for o in shifted]
     return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(num, num)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(num, num),
     )
 
 
@@ -166,10 +165,10 @@ class NetworkState:
     def __init__(self, curves, time=0.0):
         try:
             nodes = np.array([getattr(c, "nodes", c) for c in curves], dtype=float)
-        except ValueError as err:  # ragged, or entries that are not numbers
+        except (TypeError, ValueError) as err:  # not a sequence, ragged, or not numbers
             raise ConfigurationError(
-                "all curves must share the node count and ambient dimension, "
-                "and hold only numbers") from err
+                "curves must be a sequence of curves that share the node count "
+                "and ambient dimension, and hold only numbers") from err
         if nodes.shape[0] == 0:
             raise ConfigurationError("a network needs at least one curve")
         if nodes.ndim != 3:

@@ -26,7 +26,16 @@ def network_to_dict(state, params):
     }
 
 
+def _require(value, kind, name):
+    """value, if it is of the JSON kind (dict or list) the field name needs."""
+    if not isinstance(value, kind):
+        noun = "a JSON object" if kind is dict else "a JSON list"
+        raise ConfigurationError(f"{name} must be {noun}, got {type(value).__name__}")
+    return value
+
+
 def network_from_dict(data):
+    _require(data, dict, "a network file")
     if data.get("format") != NETWORK_FORMAT:
         raise ConfigurationError(
             f"unsupported network format {data.get('format')!r}"
@@ -37,6 +46,7 @@ def network_from_dict(data):
 
 def _state_from(curves, time):
     """A state read from a file, with finite nodes and a finite time."""
+    _require(curves, list, "curves")
     try:
         time = float(time)
     except (TypeError, ValueError) as err:
@@ -100,11 +110,13 @@ def trajectory_to_dict(trajectory, params):
 
 
 def trajectory_from_dict(data):
+    _require(data, dict, "a trajectory file")
     if data.get("format") != TRAJECTORY_FORMAT:
         raise ConfigurationError(
             f"unsupported trajectory format {data.get('format')!r}"
         )
-    frames = [_state_from(f["curves"], f["time"]) for f in data["frames"]]
+    frames = [_state_from(_require(f, dict, "a frame")["curves"], f["time"])
+              for f in _require(data["frames"], list, "frames")]
     return frames, _params_from(data, frames)
 
 

@@ -5,14 +5,18 @@ when one is the other composed with a family of diffeomorphisms of
 [0, 1].  The family solves a first-order ODE driven by the difference
 of the tangential speeds; integrating that ODE numerically and measuring
 the residual mismatch gives a certificate of geometric equivalence.
+
+Importing this module loads no part of SciPy, so that runs which never
+reparametrize do not pay for it: the cumulative arclength is summed with
+NumPy, and scipy.interpolate (with scipy.optimize, scipy.special and
+scipy.spatial, which it pulls in) is imported on the first evaluation of
+a Diffeomorphism, i.e. by const_speed_reparam and geometric_equivalence.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 
 from . import geometry
 from .errors import ConfigurationError, DiffeoBreakdownError
@@ -37,9 +41,13 @@ class Diffeomorphism:
             raise DiffeoBreakdownError("sampled map is not strictly increasing")
 
     def __call__(self, x):
+        from scipy.interpolate import PchipInterpolator
+
         return PchipInterpolator(self.grid, self.values)(x)
 
     def inverse(self, y):
+        from scipy.interpolate import PchipInterpolator
+
         return PchipInterpolator(self.values, self.grid)(y)
 
 
@@ -89,7 +97,10 @@ def resample(nodes, positions):
 def arclength_map(curve):
     """Normalized cumulative arclength of a sampled curve as a diffeomorphism."""
     bundle = geometry.finite_differences(curve)
-    arc = cumulative_trapezoid(bundle.speed, dx=curve.h, initial=0.0)
+    # the trapezoid sums exactly as scipy.integrate.cumulative_trapezoid
+    # forms them, so the map matches it bit for bit
+    speed = bundle.speed
+    arc = np.concatenate(([0.0], np.cumsum(curve.h * (speed[1:] + speed[:-1]) / 2.0)))
     values = arc / arc[-1]
     values[0], values[-1] = 0.0, 1.0
     grid = np.linspace(0.0, 1.0, curve.N + 1)

@@ -46,7 +46,7 @@ class FlowParams:
         try:
             ends = np.atleast_2d(np.asarray(self.endpoints, dtype=float))
             lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        except ValueError as err:  # ragged, or entries that are not numbers
+        except (TypeError, ValueError) as err:  # ragged, or not numbers
             raise ConfigurationError(
                 f"endpoints and lam must be numeric arrays: {err}") from err
         object.__setattr__(self, "endpoints", ends)

@@ -83,9 +83,13 @@ def _spoil_endpoint(data):
     data["endpoints"][0][1] = float("inf")
 
 
+def _spoil_curves_type(data):
+    data["curves"] = 5
+
+
 @pytest.mark.parametrize("spoil", [_spoil_endpoint_dimension, _spoil_endpoint_rows,
                                    _spoil_time, _spoil_node, _spoil_lambda,
-                                   _spoil_endpoint])
+                                   _spoil_endpoint, _spoil_curves_type])
 @pytest.mark.parametrize("command", [["check"], ["simulate", "--warn"]],
                          ids=["check", "simulate-warn"])
 def test_malformed_network_file_is_invalid(tmp_path, capsys, spoil, command):
@@ -106,6 +110,32 @@ def test_malformed_network_file_is_invalid(tmp_path, capsys, spoil, command):
     assert "invalid network file" in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+def test_network_file_holding_a_list_is_invalid(tmp_path, capsys):
+    path = str(tmp_path / "net.json")
+    with open(path, "w") as fh:
+        json.dump([1, 2], fh)
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["check", "--network", path])
+    err = capsys.readouterr().err
+    assert exc_info.value.code == cli.EXIT_INVALID
+    assert "invalid network file" in err
+    assert "Traceback" not in err
+
+
+def _trajectory_json(**fields):
+    state, params = fixtures.triod_bent(N=32)
+    return {**io.trajectory_to_dict([state], params), **fields}
+
+
+@pytest.mark.parametrize("data", [
+    [1], _trajectory_json(frames=3), _trajectory_json(frames=[3]),
+    _trajectory_json(frames=[{"time": 0.0, "curves": 4}]),
+], ids=["top-level-list", "frames-int", "frame-int", "frame-curves-int"])
+def test_trajectory_of_the_wrong_json_shape_is_rejected(data):
+    with pytest.raises(ConfigurationError):
+        io.trajectory_from_dict(data)
 
 
 def test_config_roundtrip(tmp_path):

@@ -47,6 +47,40 @@ def test_boundary_offsets_stay_inside_grid():
                 assert 0 in offs
 
 
+def _loop_derivative_matrix(num, order):
+    """The derivative matrix built one entry at a time: interior rows from
+    the centered stencil, then the rows near each end from their shifted
+    stencils."""
+    from scipy import sparse
+
+    hw = geometry._CENTERED_HALF_WIDTH[order]
+    rows, cols, vals = [], [], []
+    w = geometry.stencil_weights(range(-hw, hw + 1), order)
+    for k in range(hw, num - hw):
+        for j, off in enumerate(range(-hw, hw + 1)):
+            rows.append(k)
+            cols.append(k + off)
+            vals.append(w[j])
+    for k in list(range(hw)) + list(range(num - hw, num)):
+        offs = geometry.boundary_offsets(k, order, num)
+        for off, weight in zip(offs, geometry.stencil_weights(offs, order)):
+            rows.append(k)
+            cols.append(k + off)
+            vals.append(weight)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(num, num))
+
+
+@pytest.mark.parametrize("num", [9, 10, 129, 2049])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_matrix_equals_entrywise_loop_oracle(num, order):
+    built = geometry._derivative_matrix(num, order)
+    oracle = _loop_derivative_matrix(num, order)
+    for field in ("indptr", "indices", "data"):
+        got, want = getattr(built, field), getattr(oracle, field)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_apply_derivative_exact_on_polynomials():
     # every stencil of formal order two annihilates its own error term on
     # low-degree polynomials: quadratics for d1, cubics for d2

@@ -45,6 +45,22 @@ def test_arclength_map_exact_oracle():
     assert np.allclose(phi.values, exact, atol=1e-10)
 
 
+# h = 1/N is a power of two at N = 8, 128 and 2048, where multiplying by
+# it is exact, so N = 37 also checks where the factor h sits in the sum
+@pytest.mark.parametrize("N", [8, 37, 128, 2048])
+def test_arclength_map_equals_scipy_cumulative_trapezoid(N):
+    from scipy.integrate import cumulative_trapezoid
+
+    from elastic_networks import geometry
+    x = np.linspace(0.0, 1.0, N + 1)
+    curve = CurveSamples(np.stack([x + 0.3 * x**2, np.sin(3.0 * x)], axis=-1))
+    arc = cumulative_trapezoid(geometry.finite_differences(curve).speed,
+                               dx=curve.h, initial=0.0)
+    expected = arc / arc[-1]
+    expected[0], expected[-1] = 0.0, 1.0
+    assert np.array_equal(repar.arclength_map(curve).values, expected)
+
+
 def test_const_speed_reparam_properties():
     state, _ = fixtures.triod_bent_skewed(N=128)
     curve = state.curves[0]

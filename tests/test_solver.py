@@ -26,6 +26,9 @@ def test_network_state_validation():
     ragged = [[[0.0, 0.0]] * 9, [[0.0, 0.0]] * 10]
     with pytest.raises(ConfigurationError, match="share the node count"):
         NetworkState(ragged)
+    for not_curves in (5, None, [[[{"x": 1.0}, 0.0]] * 9]):
+        with pytest.raises(ConfigurationError, match="sequence of curves"):
+            NetworkState(not_curves)
     with pytest.raises(ConfigurationError, match="ambient dimension"):
         NetworkState(np.zeros((2, 9, 1)))  # n = 1
     with pytest.raises(ConfigurationError, match="intervals"):
