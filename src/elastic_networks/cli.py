@@ -28,48 +28,33 @@ EXIT_BREAKDOWN = 2
 EXIT_IO = 3
 
 
-def _load(path):
+def _load(loader, path, kind):
+    """loader(path), or exit naming the kind ("network", "config") of file."""
     try:
-        return io.load_network(path)
+        return loader(path)
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
     except json.JSONDecodeError as err:
-        print(f"error: cannot parse network file: {err}", file=sys.stderr)
+        print(f"error: cannot parse {kind} file: {err}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    except (ConfigurationError, KeyError) as err:
-        print(f"error: invalid network file: {err}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
-
-
-def _load_config(path):
-    if path is None:
-        return SolverConfig()
-    try:
-        return io.load_config(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    except json.JSONDecodeError as err:
-        print(f"error: cannot parse config file: {err}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    except (ConfigurationError, TypeError) as err:
-        print(f"error: invalid config file: {err}", file=sys.stderr)
+    except (ConfigurationError, KeyError, TypeError) as err:
+        print(f"error: invalid {kind} file: {err}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
 
 def cmd_check(args):
-    state, params = _load(args.network)
+    state, params = _load(io.load_network, args.network, "network")
     failed = False
 
-    report = wellposed.check_compat_order0(state, params)
+    bundle = geometry.finite_differences(state)
+    report = wellposed.check_compat_order0(state, params, bundle=bundle)
     for rec in report.records:
         mark = "ok " if rec.passed else "FAIL"
         print(f"[{mark}] {rec.condition} curve={rec.curve} "
               f"end={rec.endpoint} residual={rec.residual:.3e}")
     failed |= not report.passed
 
-    bundle = geometry.finite_differences(state)
     if state.q >= 2:
         tangents, _ = junction.junction_terms(bundle, params.lam)
         nc = junction.nc_value(tangents)
@@ -93,8 +78,9 @@ def cmd_check(args):
 
 
 def cmd_simulate(args):
-    state, params = _load(args.network)
-    config = _load_config(args.config)
+    state, params = _load(io.load_network, args.network, "network")
+    config = (SolverConfig() if args.config is None
+              else _load(io.load_config, args.config, "config"))
     records = []
 
     def observer(s):
@@ -144,8 +130,9 @@ def cmd_convergence(args):
 
 
 def cmd_equivalence(args):
-    state, params = _load(args.network)
-    config = _load_config(args.config)
+    state, params = _load(io.load_network, args.network, "network")
+    config = (SolverConfig() if args.config is None
+              else _load(io.load_config, args.config, "config"))
     # warn, not strict: constant-speed resampling carries interpolation
     # error, so the discrete endpoint stencils of the second run cannot
     # vanish to the strict preflight tolerance

@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, junction
+from . import geometry, wellposed
 
 MAX_CSV_SLICES = 200
+# boundary_residuals key of each wellposed.order0_residuals entry
+RESIDUAL_NAMES = {"endpoint": "endpoint-pin", "second_derivative": "second-derivative",
+                  "concurrency": "concurrency", "third_order_sum": "third-order-sum"}
 
 
 def _energies(bundle, lam, h):
@@ -91,58 +94,38 @@ def boundary_residuals(state, params, bundle=None):
 
     Returns a dict with the worst endpoint pin error, second-derivative
     magnitudes at both ends, junction concurrency spread, and the norm of
-    the third-order junction sum.  bundle is the stacked derivative
-    bundle of state, if already built.
+    the third-order junction sum: the max of each entry of
+    wellposed.order0_residuals.  bundle is the stacked derivative bundle
+    of state, if already built.
     """
     if bundle is None:
         bundle = geometry.finite_differences(state)
-    nodes = state.nodes
-    res = {
-        "endpoint": float(np.max(
-            np.linalg.norm(nodes[:, -1] - params.endpoints, axis=-1))),
-        "second_derivative": float(np.max(
-            np.linalg.norm(bundle.d2[:, [0, -1]], axis=-1))),
-        "concurrency": 0.0,
-        "third_order_sum": 0.0,
-    }
-    if state.q >= 2:
-        res["concurrency"] = float(np.max(
-            np.linalg.norm(nodes[1:, 0] - nodes[0, 0], axis=-1)))
-        _, total = junction.junction_terms(bundle, params.lam)
-        res["third_order_sum"] = float(np.linalg.norm(total))
-    return res
+    table = wellposed.order0_residuals(state, params, bundle)
+    return {key: float(np.max(table[name], initial=0.0))
+            for key, name in RESIDUAL_NAMES.items()}
+
+
+def _holder_quotient(values, coords, exponent):
+    # sup over a < b of |v[b] - v[a]|_1 / |coords[b] - coords[a]|^exponent
+    # and over the m rows of values (len(coords), m) or (len(coords), m, n)
+    v = np.atleast_3d(np.asarray(values, dtype=float))
+    coords = np.asarray(coords, dtype=float)
+    worst = 0.0
+    for a in range(coords.size - 1):
+        dc = np.abs(coords[a + 1:] - coords[a])
+        dv = np.abs(v[a + 1:] - v[a]).sum(axis=2)
+        worst = max(worst, float(np.max(dv / dc[:, None]**exponent)))
+    return worst
 
 
 def holder_seminorm_space(values, positions, rho):
     """sup over time slices of the rho-Hoelder quotient in the space variable."""
-    v = np.asarray(values, dtype=float)
-    x = np.asarray(positions, dtype=float)
-    if v.ndim == 2:
-        v = v[:, :, None]
-    worst = 0.0
-    for slice_ in v:
-        for a in range(x.size):
-            dx = np.abs(x[a + 1:] - x[a])
-            dv = np.abs(slice_[a + 1:] - slice_[a]).sum(axis=1)
-            if dx.size:
-                worst = max(worst, float(np.max(dv / dx**rho)))
-    return worst
+    return _holder_quotient(np.swapaxes(values, 0, 1), positions, rho)
 
 
 def holder_seminorm_time(values, times, rho):
     """sup over space points of the rho/4-Hoelder quotient in time."""
-    v = np.asarray(values, dtype=float)
-    t = np.asarray(times, dtype=float)
-    if v.ndim == 2:
-        v = v[:, :, None]
-    worst = 0.0
-    for a in range(t.size):
-        dt = np.abs(t[a + 1:] - t[a])
-        if not dt.size:
-            continue
-        dv = np.abs(v[a + 1:] - v[a]).sum(axis=2)
-        worst = max(worst, float(np.max(dv / dt[:, None]**(rho / 4.0))))
-    return worst
+    return _holder_quotient(values, times, rho / 4.0)
 
 
 def parabolic_norm(values, times, positions, rho, k=0, h=None):

@@ -14,6 +14,9 @@ from .solver import FlowParams, NetworkState, SolverConfig
 
 NETWORK_FORMAT = "elastic-network/1"
 TRAJECTORY_FORMAT = "elastic-network-trajectory/1"
+# side of the square SVG drawing and its blank border, in pixels
+SVG_SIZE = 400
+SVG_MARGIN = 20
 
 
 def network_to_dict(state, params):
@@ -129,20 +132,20 @@ def load_trajectory(path):
         return trajectory_from_dict(json.load(fh))
 
 
-def state_to_svg(state, size=400, margin=20):
+def state_to_svg(state):
     """Render a planar network as an SVG drawing with one polyline per curve."""
     if state.n != 2:
         raise ConfigurationError("SVG output needs a planar network")
     lo = state.nodes.min(axis=(0, 1))
     hi = state.nodes.max(axis=(0, 1))
     span = max(float(np.max(hi - lo)), 1e-12)
-    scale = (size - 2 * margin) / span
-    pixels = (state.nodes - lo) * scale + margin
-    pixels[..., 1] = size - pixels[..., 1]  # flip the y axis for screen coordinates
+    scale = (SVG_SIZE - 2 * SVG_MARGIN) / span
+    pixels = (state.nodes - lo) * scale + SVG_MARGIN
+    pixels[..., 1] = SVG_SIZE - pixels[..., 1]  # flip the y axis for screen coordinates
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">'
     ]
     for xy in pixels:
         coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in xy)

@@ -59,13 +59,16 @@ def nc_value(tangents):
     return 1.0 - float(np.prod(np.abs(gram[iu])))
 
 
-def span_dimension(tangents, tol=DEFAULT_RANK_TOL):
-    """Dimension of the span of the tangents; tol is relative to the largest singular value."""
+def span_dimension(tangents):
+    """Dimension of the span of the tangents.
+
+    Singular values up to DEFAULT_RANK_TOL times the largest one count as zero.
+    """
     t = np.atleast_2d(np.asarray(tangents, dtype=float))
     sv = np.linalg.svd(t, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return int(np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[0]))
 
 
 def build_Q(tangents):
@@ -77,9 +80,9 @@ def build_Q(tangents):
     return mat
 
 
-def junction_phi(frame, rank_tol=DEFAULT_RANK_TOL):
+def junction_phi(frame):
     """Junction tangential speeds solving the Q-system; needs span >= 2."""
-    if span_dimension(frame.tangents, rank_tol) < 2:
+    if span_dimension(frame.tangents) < 2:
         raise NonCollinearError(
             "junction tangents are collinear: Q-system is singular"
         )

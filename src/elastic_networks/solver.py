@@ -13,6 +13,8 @@ derivative bundle per distinct network state: each accepted state is
 differentiated once, and its bundle serves the guard and the next step.
 """
 
+import math
+import numbers
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -73,6 +75,14 @@ class SolverConfig:
     store_every: int = 1
 
     def __post_init__(self):
+        floats = (self.dt, self.t_end, self.picard_tol, self.picard_floor,
+                  self.delta_guard_factor)
+        if not all(math.isfinite(v) for v in floats):
+            raise ConfigurationError("dt, t_end, picard_tol, picard_floor and "
+                                     "delta_guard_factor must be finite")
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.picard_max, self.store_every)):
+            raise ConfigurationError("picard_max and store_every must be integers")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigurationError("dt and t_end must be positive")
         if self.picard_max < 1 or self.store_every < 1:

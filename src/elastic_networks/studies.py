@@ -37,6 +37,21 @@ def _compare(state, reference):
     return float(np.max(gap))
 
 
+def _study(levels, final_state, reference):
+    """Errors of final_state(level) against reference, and the observed rates.
+
+    The rate between levels k and k+1 is log(e_k / e_{k+1}) divided by
+    |log(l_{k+1} / l_k)|, for refinement in N and in dt alike.
+    """
+    errors = [_compare(final_state(level), reference) for level in levels]
+    rates = [
+        float(np.log(errors[k] / errors[k + 1]))
+        / abs(float(np.log(levels[k + 1] / levels[k])))
+        for k in range(len(levels) - 1)
+    ]
+    return StudyResult(levels=tuple(levels), errors=tuple(errors), rates=tuple(rates))
+
+
 def spatial_convergence(Ns=(32, 64, 128), N_ref=256, dt=2.5e-8, t_end=1e-6,
                         amplitude=0.05, lam=0.5):
     """Refine the grid at a fixed tiny time step."""
@@ -44,28 +59,13 @@ def spatial_convergence(Ns=(32, 64, 128), N_ref=256, dt=2.5e-8, t_end=1e-6,
         if N_ref % N:
             raise ValueError("reference grid must refine every study grid")
     reference = _final_state(N_ref, dt, t_end, amplitude, lam)
-    errors = [
-        _compare(_final_state(N, dt, t_end, amplitude, lam), reference) for N in Ns
-    ]
-    rates = [
-        float(np.log2(errors[k] / errors[k + 1]))
-        / float(np.log2(Ns[k + 1] / Ns[k]))
-        for k in range(len(Ns) - 1)
-    ]
-    return StudyResult(levels=tuple(Ns), errors=tuple(errors), rates=tuple(rates))
+    return _study(Ns, lambda N: _final_state(N, dt, t_end, amplitude, lam),
+                  reference)
 
 
 def temporal_convergence(dts=(4e-6, 2e-6, 1e-6), dt_ref=1.25e-7, N=48,
                          t_end=4e-5, amplitude=0.05, lam=0.5):
     """Refine the time step on a fixed grid."""
     reference = _final_state(N, dt_ref, t_end, amplitude, lam)
-    errors = [
-        _compare(_final_state(N, dt, t_end, amplitude, lam), reference)
-        for dt in dts
-    ]
-    rates = [
-        float(np.log(errors[k] / errors[k + 1]))
-        / float(np.log(dts[k] / dts[k + 1]))
-        for k in range(len(dts) - 1)
-    ]
-    return StudyResult(levels=tuple(dts), errors=tuple(errors), rates=tuple(rates))
+    return _study(dts, lambda dt: _final_state(N, dt, t_end, amplitude, lam),
+                  reference)

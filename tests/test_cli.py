@@ -152,6 +152,29 @@ def test_config_roundtrip(tmp_path):
         io.load_config(path)
 
 
+@pytest.mark.parametrize("fields", [
+    {"dt": float("nan")}, {"dt": float("inf")}, {"t_end": float("inf")},
+    {"picard_tol": float("nan")}, {"picard_floor": float("inf")},
+    {"delta_guard_factor": float("nan")}, {"picard_max": 1.5},
+    {"store_every": 2.5}, {"store_every": True}, {"dt": "abc"}, {"picard_max": None},
+], ids=["dt-nan", "dt-inf", "t_end-inf", "picard_tol-nan", "picard_floor-inf",
+        "delta_guard_factor-nan", "picard_max-float", "store_every-float",
+        "store_every-bool", "dt-string", "picard_max-null"])
+def test_invalid_config_values_are_rejected(tmp_path, capsys, fields):
+    net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as fh:
+        json.dump({"dt": 1e-5, "t_end": 3e-5, **fields}, fh)  # NaN, Infinity as such
+    out = str(tmp_path / "run")
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["simulate", "--network", net, "--config", path, "--out", out])
+    err = capsys.readouterr().err
+    assert exc_info.value.code == cli.EXIT_INVALID
+    assert "invalid config file" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_trajectory_roundtrip(tmp_path):
     from elastic_networks import solver
     state, params = fixtures.triod_equilibrium(N=32)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from elastic_networks import diagnostics, fixtures, geometry
-from elastic_networks.geometry import CurveSamples
+from elastic_networks import diagnostics, fixtures, geometry, wellposed
+from elastic_networks.geometry import CurveSamples, NetworkState
 
 
 def test_circle_energy_matches_closed_form():
@@ -78,6 +78,26 @@ def test_boundary_residuals_flag_violations():
                             lam=np.array([1.0, 1.0, 3.0]))
     res = diagnostics.boundary_residuals(state, unbalanced)
     assert res["third_order_sum"] > 0.5
+
+
+def _perturbed_triod():
+    state, params = fixtures.triod_bent(N=64)
+    rng = np.random.default_rng(7)
+    return NetworkState(state.nodes + 1e-4 * rng.normal(size=state.nodes.shape)), params
+
+
+@pytest.mark.parametrize("network", [
+    lambda: fixtures.triod_bent(N=64), lambda: fixtures.q4_spatial(N=48),
+    lambda: fixtures.single_clamped(N=48), _perturbed_triod,
+], ids=["triod_bent", "q4_spatial", "single_clamped", "perturbed_triod"])
+def test_boundary_residuals_are_the_worst_order0_records(network):
+    state, params = network()
+    records = wellposed.check_compat_order0(state, params).records
+    res = diagnostics.boundary_residuals(state, params)
+    assert set(res) == set(diagnostics.RESIDUAL_NAMES)
+    for key, condition in diagnostics.RESIDUAL_NAMES.items():
+        matching = [r.residual for r in records if r.condition == condition]
+        assert res[key] == max(matching, default=0.0), key
 
 
 def _brute_force_space(values, positions, rho):

@@ -1,9 +1,11 @@
 """Compatibility checks, symbol roots and complementary conditions."""
 
+import cmath
+
 import numpy as np
 import pytest
 
-from elastic_networks import fixtures, junction, wellposed
+from elastic_networks import fixtures, geometry, junction, wellposed
 from elastic_networks.errors import RegularityError
 from elastic_networks.geometry import CurveSamples
 from elastic_networks.solver import NetworkState
@@ -165,3 +167,118 @@ def test_fixed_end_complementary_always_holds():
         wellposed.fixed_end_complementary(1.0, 0.0)
     with pytest.raises(ValueError):
         wellposed.fixed_end_complementary(-1.0, 1.0)
+
+
+def _order0_sequence(q):
+    # (condition, curve, endpoint) of every order-zero record, in report order
+    rows = []
+    for i in range(q):
+        rows += [("endpoint-pin", i, 1), ("second-derivative", i, 0),
+                 ("second-derivative", i, 1), ("fourth-derivative", i, 1)]
+    return rows
+
+
+def test_order0_record_sequence_is_pinned():
+    # the order elastic-networks check prints
+    state, params = fixtures.single_clamped(N=48)
+    assert [(r.condition, r.curve, r.endpoint)
+            for r in wellposed.check_compat_order0(state, params).records] == [
+        ("endpoint-pin", 0, 1), ("second-derivative", 0, 0),
+        ("second-derivative", 0, 1), ("fourth-derivative", 0, 1),
+        ("fourth-derivative", 0, 0)]
+    state, params = fixtures.triod_bent(N=48)
+    assert [(r.condition, r.curve, r.endpoint)
+            for r in wellposed.check_compat_order0(state, params).records] == (
+        _order0_sequence(3)
+        + [("concurrency", 1, 0), ("concurrency", 2, 0), ("third-order-sum", -1, 0),
+           ("fourth-derivative-match[0,1]", 0, 0),
+           ("fourth-derivative-match[0,2]", 0, 0),
+           ("fourth-derivative-match[1,2]", 1, 0)])
+    state, params = fixtures.q4_spatial(N=48)
+    assert [(r.condition, r.curve, r.endpoint)
+            for r in wellposed.check_compat_order0(state, params).records] == (
+        _order0_sequence(4)
+        + [("concurrency", 1, 0), ("concurrency", 2, 0), ("concurrency", 3, 0),
+           ("third-order-sum", -1, 0)]
+        + [(f"fourth-derivative-match[{i},{j}]", i, 0)
+           for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))])
+
+
+def test_order0_records_read_the_residual_table():
+    state, params = fixtures.triod_bent(N=48)
+    nodes = state.nodes + 1e-4 * np.random.default_rng(7).normal(size=state.nodes.shape)
+    state = NetworkState(nodes)
+    table = wellposed.order0_residuals(state, params,
+                                       geometry.finite_differences(state))
+    records = wellposed.check_compat_order0(state, params).records
+    by_key = {(r.condition, r.curve, r.endpoint): r.residual for r in records}
+    for i in range(3):
+        assert by_key["endpoint-pin", i, 1] == np.linalg.norm(
+            nodes[i, -1] - params.endpoints[i])
+        assert by_key["endpoint-pin", i, 1] == table["endpoint-pin"][i]
+        for end in (0, 1):
+            assert (by_key["second-derivative", i, end]
+                    == table["second-derivative"][i, end])
+    for i in (1, 2):
+        assert by_key["concurrency", i, 0] == table["concurrency"][i - 1]
+        assert by_key["concurrency", i, 0] == np.linalg.norm(nodes[i, 0] - nodes[0, 0])
+    assert by_key["third-order-sum", -1, 0] == table["third-order-sum"]
+    assert table["third-order-sum"] > 0.0
+    single, single_params = fixtures.single_clamped(N=48)
+    table = wellposed.order0_residuals(single, single_params,
+                                       geometry.finite_differences(single))
+    assert table["concurrency"].shape == (0,)
+    assert table["third-order-sum"] == 0.0
+
+
+def _loop_complementary_matrix(tangents, D, p):
+    # the entry-by-entry assembly the block assignment replaced, kept as oracle
+    p = complex(p)
+    t = np.atleast_2d(np.asarray(tangents, dtype=float))
+    q, n = t.shape
+    D = np.asarray(D, dtype=float)
+    theta = cmath.phase(p)
+    radii = abs(p)**0.25 / D
+    e_mats = np.array([
+        d**3 * (np.eye(n) - np.outer(ti, ti)) for d, ti in zip(D, t)
+    ])
+    size = 2 * q * n
+    mat = np.zeros((size, size), dtype=complex)
+    v_base = (2 * q - 1) * n
+    c_quarter = np.exp(1j * theta / 4.0) / np.sqrt(2.0)
+    c_three_quarter = np.exp(3j * theta / 4.0) / np.sqrt(2.0)
+    row = 0
+    for i in range(q):
+        for k in range(n):
+            mat[row, (q - 1 + i) * n + k] = 1.0
+            mat[row, v_base:v_base + n] -= radii[i] * c_quarter * e_mats[i][:, k]
+            row += 1
+    for i in range(q):
+        for k in range(n):
+            if i == 0:
+                for m in range(q - 1):
+                    mat[row, m * n + k] = 1.0
+                mat[row, v_base:v_base + n] += (radii[0]**3 * c_three_quarter
+                                                * e_mats[0][:, k])
+            else:
+                mat[row, (i - 1) * n + k] = -1.0
+                mat[row, v_base:v_base + n] += (radii[i]**3 * c_three_quarter
+                                                * e_mats[i][:, k])
+            row += 1
+    return mat
+
+
+def test_complementary_matrix_equals_loop_oracle():
+    # bit for bit, signed zeros included, so the SVD verdict cannot differ
+    rng = np.random.default_rng(11)
+    for trial in range(600):
+        if trial % 5 == 4:  # axis-aligned tangents put exact zeros in E_i
+            q, n = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            t = np.eye(n)[rng.integers(0, n, q)] * rng.choice([-1.0, 1.0], (q, 1))
+        else:
+            t = _random_tangents(rng, collinear=(trial % 3 == 0))
+        D = rng.uniform(0.5, 2.0, size=t.shape[0])
+        p = (1.0, 1j, 1 + 1j, complex(rng.uniform(0, 3), rng.uniform(-3, 3)))[trial % 4]
+        expected = _loop_complementary_matrix(t, D, p)
+        got = wellposed._complementary_matrix(t, D, p)
+        assert got.tobytes() == expected.tobytes(), (trial, t, D, p)
