@@ -24,7 +24,7 @@ for name, (state, params) in (
         print(f"  failing: {rec.condition} residual {rec.residual:.3e}")
 
     bundle = geometry.finite_differences(state)
-    tangents, _ = junction.junction_terms(bundle, params.lam)
+    tangents = junction.tangents(bundle)
     nc = junction.nc_value(tangents)
     span = junction.span_dimension(tangents)
     print(f"junction tangents span a {span}-dimensional space, nc = {nc:.4f}")

@@ -56,7 +56,7 @@ def cmd_check(args):
     failed |= not report.passed
 
     if state.q >= 2:
-        tangents, _ = junction.junction_terms(bundle, params.lam)
+        tangents = junction.tangents(bundle)
         nc = junction.nc_value(tangents)
         span = junction.span_dimension(tangents)
         print(f"[{'ok ' if span >= 2 else 'FAIL'}] non-collinearity condition "

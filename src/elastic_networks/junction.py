@@ -1,8 +1,9 @@
 """Algebra at the movable junction x = 0.
 
 Covers the non-collinearity functional, the q x q system for the junction
-tangential speeds, and the frozen-coefficient boundary linearization
-(projection matrices E_i and right-hand side vector b).
+tangential speeds, and the one home of each junction quantity: the unit
+tangents T_i, the projectors E_i, the vector b of the linearized
+third-order condition and the third-order sum.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .errors import NonCollinearError, RegularityError
+from .errors import NonCollinearError
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -41,14 +42,6 @@ class JunctionFrame:
     @property
     def n(self):
         return self.tangents.shape[1]
-
-
-@dataclass(frozen=True)
-class JunctionLinearization:
-    """Frozen boundary operators for the third-order junction condition."""
-
-    e_matrices: np.ndarray  # (q, n, n)
-    b: np.ndarray  # (n,)
 
 
 def nc_value(tangents):
@@ -93,6 +86,15 @@ def junction_phi(frame):
     return np.linalg.solve(q_mat, rhs)
 
 
+def powers(values, k):
+    """values**k taken one Python float at a time (the C library's pow).
+
+    A vectorized power can round differently in the last bit.
+    """
+    values = np.asarray(values, dtype=float)
+    return np.array([v**k for v in values.ravel().tolist()]).reshape(values.shape)
+
+
 @lru_cache(maxsize=None)
 def _identity(n):
     eye = np.eye(n)
@@ -105,43 +107,42 @@ def _projector_complement(d):
     return _identity(d.shape[-1]) - d[:, :, None] * d[:, None, :]
 
 
-def linearize_boundary(frozen, current, lambdas):
-    """Frozen E_i matrices and the boundary vector b.
+def tangents(bundle):
+    """Unit junction tangents T_i = f_i'(0) / |f_i'(0)| of a stacked bundle."""
+    return bundle.d1[:, 0] / bundle.speed[:, :1]
 
-    frozen and current are stacked DerivativeBundles of the network;
-    only their values at node 0 (the junction) are used.  b couples the
-    frozen operators with the current iterate.
+
+def projectors(tangents, coefficients):
+    """E_i = c_i^3 (I - T_i T_i^T) for unit tangents T_i, (q, n, n).
+
+    With c_i = 1/|f_i'(0)| of the step's start state these are the frozen
+    operators of the linearized third-order junction condition.
+    """
+    return powers(coefficients, 3)[:, None, None] * _projector_complement(tangents)
+
+
+def linearize_boundary(e_matrices, current, lambdas):
+    """The vector b of the linearized third-order junction row, (n,).
+
+    e_matrices are the step's frozen projectors and current is the
+    stacked DerivativeBundle of the Picard iterate, read at node 0.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    s0 = frozen.speed[:, 0]
-    s_cur = current.speed[:, 0]
-    bad = np.flatnonzero(np.minimum(s0, s_cur) < geometry.SPEED_FLOOR)
-    if bad.size:
-        raise RegularityError("degenerate speed at the junction",
-                              curve=int(bad[0]), node=0)
-    coefficients = 1.0 / s0
-    d_vectors = frozen.d1[:, 0] / s0[:, None]
-    # cubes taken one Python float at a time (the C library's pow) and
-    # products by matmul: a vectorized power or einsum can round
-    # differently in the last bit, and that shifts the Picard iterate at
-    # which a step stops
-    cubes = np.array([[c**3 for c in coefficients.tolist()],
-                      [s**3 for s in s_cur.tolist()]])
-    e_matrices = cubes[0][:, None, None] * _projector_complement(d_vectors)
-    t_cur = current.d1[:, 0] / s_cur[:, None]
-    e_bar = _projector_complement(t_cur) / cubes[1][:, None, None]
+    t_cur = tangents(current)
+    e_bar = (_projector_complement(t_cur)
+             / powers(current.speed[:, 0], 3)[:, None, None])
+    # products by matmul: an einsum can round differently in the last bit
     terms = (np.matmul(e_matrices - e_bar, current.d3[:, 0, :, None])[..., 0]
              + lambdas[:, None] * t_cur)
-    return JunctionLinearization(e_matrices=e_matrices, b=terms.sum(axis=0))
+    return terms.sum(axis=0)
 
 
-def junction_terms(bundle, lambdas):
-    """Unit junction tangents T_i and the sum of nabla_s kappa_i - lam_i T_i.
+def third_order_sum(bundle, lambdas):
+    """The sum of nabla_s kappa_i - lam_i T_i at the junction, (n,).
 
     bundle is the stacked DerivativeBundle of a network, read at node 0;
     the sum vanishes when the third-order junction condition holds.
     """
-    tangents = bundle.d1[:, 0] / bundle.speed[:, :1]
     nsk = geometry.nabla_s_kappa(bundle[:, :1])[:, 0]
     lambdas = np.asarray(lambdas, dtype=float)
-    return tangents, (nsk - lambdas[:, None] * tangents).sum(axis=0)
+    return (nsk - lambdas[:, None] * tangents(bundle)).sum(axis=0)

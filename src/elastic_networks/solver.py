@@ -7,10 +7,12 @@ the step is self-consistent; picard_step is the one place that builds
 and solves a step.
 The junction conditions enter as boundary rows of the same sparse
 system: concurrency, vanishing second derivatives, fixed outer ends and
-the linearized third-order balance.  All node-wise work runs on the
-stacked (q, N+1, n) layout of NetworkState.nodes, with one stacked
-derivative bundle per distinct network state: each accepted state is
-differentiated once, and its bundle serves the guard and the next step.
+the linearized third-order balance.  The frozen coefficients (1/|f'|^4
+and the junction projectors E_i) are taken once per step.  All
+node-wise work runs on the stacked (q, N+1, n) layout of
+NetworkState.nodes, with one stacked derivative bundle per distinct
+network state: each accepted state is differentiated once, and its
+bundle serves the guard and the next step.
 """
 
 import math
@@ -87,6 +89,8 @@ class SolverConfig:
             raise ConfigurationError("dt and t_end must be positive")
         if self.picard_max < 1 or self.store_every < 1:
             raise ConfigurationError("picard_max and store_every must be >= 1")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigurationError("the step count t_end / dt overflows")
         if abs(self.num_steps * self.dt - self.t_end) > END_TIME_TOL * self.t_end:
             raise ConfigurationError(
                 f"t_end = {self.t_end!r} is not a whole number of steps "
@@ -200,23 +204,21 @@ def _offsets(keys, size):
                           ).astype(np.int32)
 
 
-def _step_matrix(bundle, params, dt):
-    """Sparse matrix of one implicit step, frozen at the bundle's state.
+def _step_matrix(shape, d_pow4, e_matrices, dt):
+    """Sparse matrix of one implicit step of a (q, N+1, n) network.
 
-    Returns it twice, as CSR and as CSC with its columns in the pattern's
-    order perm_c (ready for SuperLU to factor without ordering), and
-    perm_c.
+    d_pow4 and e_matrices are the step's frozen coefficients, taken in
+    picard_step.  Returns the matrix twice, as CSR and as CSC with its
+    columns in the pattern's order perm_c (ready for SuperLU to factor
+    without ordering), and perm_c.
     """
-    q, num, n = bundle.d1.shape
+    q, num, n = shape
     pattern = _step_pattern(q, num - 1, n)
-    d_pow4 = 1.0 / bundle.speed[:, 2:num - 2]**4
     interior = np.repeat(d_pow4[:, None, :, None] * pattern.w4, n, axis=1)
     interior[..., 2] += 1.0 / dt
     values = [interior.ravel()]
     if q >= 2:
-        # the projectors E_i come from the frozen state only
-        lin = junction.linearize_boundary(bundle, bundle, params.lam)
-        values.append((lin.e_matrices.transpose(1, 0, 2)[..., None]
+        values.append((e_matrices.transpose(1, 0, 2)[..., None]
                        * pattern.w3).ravel())
     values.append(pattern.constants)
     values = np.concatenate(values)
@@ -228,22 +230,21 @@ def _step_matrix(bundle, params, dt):
             pattern.perm_c)
 
 
-def _step_rhs(rhs, frozen, current, base_dt, d_pow4, params):
+def _step_rhs(rhs, current, base_dt, d_pow4, e_matrices, params):
     """Fill the rows of the step's rhs that change with the Picard iterate.
 
     rhs is the (q, N+1, n) buffer of the step, which already holds its
     constant rows; the interior rows and, for a network, the junction
-    row are rewritten.  frozen is the stacked bundle of the step's start
-    state, which freezes the coefficients, and current the iterate's;
-    base_dt (start nodes over dt) and d_pow4 (1/|f'|^4 of the start
-    state) are taken once per step on the interior nodes 2..N-2.
+    row are rewritten.  current is the stacked bundle of the iterate;
+    base_dt (start nodes over dt), d_pow4 and e_matrices (the frozen
+    coefficients) are taken once per step, on the interior nodes 2..N-2.
     """
     inner = slice(2, rhs.shape[1] - 2)
     cur = current[:, inner]
     remainder = (d_pow4 - 1.0 / cur.speed**4)[..., None] * cur.d4
     rhs[:, inner] = base_dt + remainder + geometry.h_lower(cur, params.lam[:, None])
-    if rhs.shape[0] >= 2:
-        rhs[0, 0] = junction.linearize_boundary(frozen, current, params.lam).b
+    if e_matrices is not None:
+        rhs[0, 0] = junction.linearize_boundary(e_matrices, current, params.lam)
     return rhs
 
 
@@ -251,16 +252,25 @@ def picard_step(state, params, config, *, bundle=None, time=None):
     """Advance one time step, iterating the linearization to a fixed point.
 
     The coefficients are frozen at state, the start of the step.  bundle
-    is state's stacked bundle when the caller already has it; it feeds
-    the step matrix and the first iterate.  time is the time of the new
-    state, state.time + dt by default.  Each Picard iterate is a
+    is state's stacked bundle when the caller already has it; it gives
+    the frozen coefficients and the first iterate.  time is the time of
+    the new state, state.time + dt by default.  Each Picard iterate is a
     NetworkState at that time, and the converged one is returned.
     """
     if bundle is None:
         bundle = geometry.finite_differences(state)
     if time is None:
         time = state.time + config.dt
-    matrix, permuted, perm_c = _step_matrix(bundle, params, config.dt)
+    base = state.nodes
+    q, num, _ = base.shape
+    # the frozen coefficients: 1/|f'|^4 on the interior nodes 2..N-2 and,
+    # for a network, the junction projectors E_i with c_i = 1/|f_i'(0)|
+    inner = slice(2, num - 2)
+    d_pow4 = 1.0 / bundle.speed[:, inner]**4
+    e_matrices = None if q == 1 else junction.projectors(
+        junction.tangents(bundle), 1.0 / bundle.speed[:, 0])
+    matrix, permuted, perm_c = _step_matrix(base.shape, d_pow4, e_matrices,
+                                            config.dt)
     try:
         # the columns already stand in SuperLU's order, so it only factors.
         # SuperLU takes the diagonal entry as pivot when it ties the largest
@@ -271,13 +281,9 @@ def picard_step(state, params, config, *, bundle=None, time=None):
         raise StepError(f"step matrix cannot be factored: {err}",
                         time=time) from err
     del permuted  # no step array outlives the factorization
-    base = state.nodes
-    q, num, _ = base.shape
-    # frozen once per step: the start state's terms on the interior rows
-    # and the constant rows of the rhs (outer endpoints; for q = 1 the
-    # pinned node 0)
-    inner = slice(2, num - 2)
-    d_pow4 = 1.0 / bundle.speed[:, inner]**4
+    # set once per step: the start nodes on the interior rows and the
+    # constant rows of the rhs (outer endpoints; for q = 1 the pinned
+    # node 0)
     base_dt = base[:, inner] / config.dt
     rhs = np.zeros_like(base)
     rhs[:, num - 1] = params.endpoints
@@ -286,7 +292,7 @@ def picard_step(state, params, config, *, bundle=None, time=None):
     current, current_bundle = state, bundle
     previous_change = np.inf
     for _ in range(config.picard_max):
-        _step_rhs(rhs, bundle, current_bundle, base_dt, d_pow4, params)
+        _step_rhs(rhs, current_bundle, base_dt, d_pow4, e_matrices, params)
         new = NetworkState(_solve(matrix, lu, perm_c, rhs, time), time=time)
         change = float(np.max(np.abs(new.nodes - current.nodes)))
         current = new
@@ -333,8 +339,7 @@ def evolve(state, params, config, observers=(), preflight="strict"):
     bundle = geometry.finite_differences(state)
     if preflight != "skip":
         if state.q >= 2:
-            tangents, _ = junction.junction_terms(bundle, params.lam)
-            if junction.span_dimension(tangents) < 2:
+            if junction.span_dimension(junction.tangents(bundle)) < 2:
                 raise NonCollinearError("non-collinearity condition (NC) "
                                         "violated: the junction tangents are "
                                         "collinear")

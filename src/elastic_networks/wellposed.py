@@ -72,13 +72,6 @@ def _norms(vectors):
     return np.sqrt(np.vecdot(vectors, vectors))
 
 
-def _powers(values, k):
-    # taken one Python float at a time (the C library's pow): a vectorized
-    # power can round differently in the last bit
-    values = np.asarray(values, dtype=float)
-    return np.array([v**k for v in values.ravel().tolist()]).reshape(values.shape)
-
-
 def order0_residuals(network, params, bundle):
     """Order-zero boundary residuals of a network, as arrays over its curves.
 
@@ -90,7 +83,7 @@ def order0_residuals(network, params, bundle):
     nodes = network.nodes
     third = 0.0
     if network.q >= 2:
-        third = float(np.linalg.norm(junction.junction_terms(bundle, params.lam)[1]))
+        third = float(np.linalg.norm(junction.third_order_sum(bundle, params.lam)))
     return {
         "endpoint-pin": _norms(nodes[:, -1] - params.endpoints),
         "second-derivative": _norms(bundle.d2[:, [0, -1]]),
@@ -116,12 +109,12 @@ def check_compat_order0(network, params, tol=DEFAULT_TOL, bundle=None):
         bundle = geometry.finite_differences(network)
     q, h = network.q, 1.0 / network.N
     res = order0_residuals(network, params, bundle)
-    scale2 = 1.0 + _powers(np.max(bundle.speed, axis=1), 2)
+    scale2 = 1.0 + junction.powers(np.max(bundle.speed, axis=1), 2)
     # rounding in the one-sided stencil is amplified by 1/h^4, so the
     # fourth-derivative conditions carry an explicit float-cancellation floor
     peaks = np.max(np.abs(network.nodes), axis=(1, 2))
     floors4 = 100.0 * np.finfo(float).eps * peaks / h**4
-    speed4 = _powers(bundle.speed[:, [0, -1]], 4)
+    speed4 = junction.powers(bundle.speed[:, [0, -1]], 4)
     r4 = _norms(bundle.d4[:, [0, -1]]) / speed4
     tol4 = tol * (1.0 + r4) + floors4[:, None] / speed4
 
@@ -136,9 +129,7 @@ def check_compat_order0(network, params, tol=DEFAULT_TOL, bundle=None):
         rows += [("concurrency", i, 0, r, tol)
                  for i, r in enumerate(res["concurrency"], start=1)]
         rows.append(("third-order-sum", -1, 0, res["third-order-sum"], tol * q))
-        # |f'|^4 by NumPy's array power, which can differ from speed4 in
-        # the last bit
-        accel = bundle.d4[:, 0] / bundle.speed[:, :1]**4
+        accel = bundle.d4[:, 0] / speed4[:, :1]
         floors = floors4 / speed4[:, 0]
         sizes = _norms(accel)
         rows += [(f"fourth-derivative-match[{i},{j}]", i, 0,
@@ -177,7 +168,7 @@ def check_compat_order1(network, params, tol=DEFAULT_TOL):
         def summed(sign):
             shifted = geometry.NetworkState(nodes + sign * RATE_EPS * velocities)
             b = geometry.finite_differences(shifted)
-            return junction.junction_terms(b, params.lam)[1]
+            return junction.third_order_sum(b, params.lam)
 
         dt_sum = (summed(1.0) - summed(-1.0)) / (2.0 * RATE_EPS)
         # the central difference amplifies the ~eps_mach/h^3 rounding noise
@@ -220,8 +211,8 @@ def _complementary_matrix(tangents, D, p):
     t = np.atleast_2d(np.asarray(tangents, dtype=float))
     q, n = t.shape
     theta = cmath.phase(roots.p)
-    # E_i = D_i^3 (I - T_i T_i^T); symmetric, so its row k is its column k
-    e_mats = _powers(D, 3)[:, None, None] * junction._projector_complement(t)
+    # E_i = D_i^3 (I - T_i T_i^T), symmetric: its row k is its column k
+    e_mats = junction.projectors(t, D)
     c_quarter = np.exp(1j * theta / 4.0) / np.sqrt(2.0)
     c_three_quarter = np.exp(3j * theta / 4.0) / np.sqrt(2.0)
 
@@ -232,8 +223,8 @@ def _complementary_matrix(tangents, D, p):
     mat[1, 0, :, :q - 1] = eye[:, None]
     mat[1, curves[1:], :, curves[:-1]] -= eye
     mat[0, :, :, -1] -= (roots.radii * c_quarter)[:, None, None] * e_mats
-    mat[1, :, :, -1] += ((_powers(roots.radii, 3) * c_three_quarter)[:, None, None]
-                         * e_mats)
+    mat[1, :, :, -1] += ((junction.powers(roots.radii, 3)
+                          * c_three_quarter)[:, None, None] * e_mats)
     return mat.reshape(2 * q * n, 2 * q * n)
 
 

@@ -70,6 +70,9 @@ def test_solver_config_validation():
         SolverConfig(t_end=-1.0)
     with pytest.raises(ConfigurationError):
         SolverConfig(store_every=0)
+    # t_end / dt overflows to inf: no step count, rather than OverflowError
+    with pytest.raises(ConfigurationError, match="step count"):
+        SolverConfig(dt=1e-300, t_end=1e10)
 
 
 def test_equilibrium_is_fixed_point():
@@ -258,6 +261,43 @@ def test_preflight_message_names_condition_curve_and_end():
         solver.evolve(bad, params, config, preflight="strict")
 
 
+def _boundary_oracle(frozen, current, lam):
+    """E_i of the frozen bundle and b of the current one (test oracle).
+
+    The linearized third-order junction row written out in one place,
+    with the cubes taken one Python float at a time.
+    """
+    s0 = frozen.speed[:, 0]
+    s_cur = current.speed[:, 0]
+    d_vectors = frozen.d1[:, 0] / s0[:, None]
+    t_cur = current.d1[:, 0] / s_cur[:, None]
+    cubes = np.array([[c**3 for c in (1.0 / s0).tolist()],
+                      [s**3 for s in s_cur.tolist()]])
+    eye = np.eye(d_vectors.shape[1])
+    e = cubes[0][:, None, None] * (eye - d_vectors[:, :, None] * d_vectors[:, None, :])
+    e_bar = (eye - t_cur[:, :, None] * t_cur[:, None, :]) / cubes[1][:, None, None]
+    terms = (np.matmul(e - e_bar, current.d3[:, 0, :, None])[..., 0]
+             + lam[:, None] * t_cur)
+    return e, terms.sum(axis=0)
+
+
+def test_projectors_and_boundary_vector_equal_the_oracle():
+    # random networks, frozen and current apart, compared byte for byte
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        shape = (int(rng.integers(2, 6)), int(rng.integers(9, 33)),
+                 int(rng.integers(2, 5)))
+        frozen, current = (geometry.finite_differences(
+            NetworkState(rng.standard_normal(shape))) for _ in range(2))
+        lam = rng.uniform(0.0, 3.0, size=shape[0])
+        e, b = _boundary_oracle(frozen, current, lam)
+        projectors = junction.projectors(junction.tangents(frozen),
+                                         1.0 / frozen.speed[:, 0])
+        assert projectors.tobytes() == e.tobytes()
+        assert (junction.linearize_boundary(projectors, current, lam).tobytes()
+                == b.tobytes())
+
+
 def _coo_step_matrix(frozen, params, dt):
     """The step matrix assembled entry by entry in COO form (test oracle)."""
     q, N, n = frozen.q, frozen.N, frozen.n
@@ -299,7 +339,7 @@ def _coo_step_matrix(frozen, params, dt):
                 add([idx(i, 0, j)] * 2, [idx(i, 0, j), idx(0, 0, j)], [1.0, -1.0])
     if q >= 2:
         stacked = geometry.finite_differences(frozen)
-        e = junction.linearize_boundary(stacked, stacked, params.lam).e_matrices
+        e = _boundary_oracle(stacked, stacked, params.lam)[0]
         for j in range(n):
             for i in range(q):
                 for l in range(n):
@@ -330,13 +370,24 @@ STEP_NETWORKS = [
     lambda: _bowed_q4_spatial(N=24),
     lambda: fixtures.single_clamped(N=16),
 ]
+# Picard iterates of each network's first step at dt = 1e-5
+STEP_ITERATES = [7, 7, 7]
+
+
+def _step_matrix_of(state, dt):
+    # the step matrix frozen at state, as picard_step builds it
+    bundle = geometry.finite_differences(state)
+    e = None if state.q == 1 else junction.projectors(junction.tangents(bundle),
+                                                       1.0 / bundle.speed[:, 0])
+    return solver._step_matrix(state.nodes.shape, 1.0 / bundle.speed[:, 2:-2]**4,
+                               e, dt)
 
 
 @pytest.mark.parametrize("network", STEP_NETWORKS)
 def test_fixed_pattern_step_matrix_equals_coo_assembly(network):
     state, params = network()
     dt = 1e-5
-    matrix, _, _ = solver._step_matrix(geometry.finite_differences(state), params, dt)
+    matrix, _, _ = _step_matrix_of(state, dt)
     oracle = _coo_step_matrix(state, params, dt)
     assert matrix.shape == oracle.shape
     assert np.array_equal(matrix.indptr, oracle.indptr)
@@ -348,9 +399,8 @@ def test_fixed_pattern_step_matrix_equals_coo_assembly(network):
 def test_cached_column_order_factors_like_default_superlu(network):
     # SuperLU's own ordering of the real matrix is the oracle: the cached
     # order, the pivots, the fill and every solve must be the same
-    state, params = network()
-    matrix, permuted, perm_c = solver._step_matrix(
-        geometry.finite_differences(state), params, 1e-5)
+    state, _ = network()
+    matrix, permuted, perm_c = _step_matrix_of(state, 1e-5)
     reference = sp.linalg.splu(matrix.tocsc())
     assert np.array_equal(perm_c, reference.perm_c)
     assert np.array_equal(permuted.toarray()[:, perm_c], matrix.toarray())
@@ -375,8 +425,7 @@ def _fresh_step_rhs(start_bundle, current_bundle, base, params, dt):
     if q == 1:
         rhs[0, 0] = base[0, 0]
     else:
-        rhs[0, 0] = junction.linearize_boundary(start_bundle, current_bundle,
-                                                params.lam).b
+        rhs[0, 0] = _boundary_oracle(start_bundle, current_bundle, params.lam)[1]
     return rhs
 
 
@@ -386,28 +435,57 @@ def test_step_rhs_buffer_equals_fresh_assembly_at_every_iterate(network, monkeyp
     # with the iterate; every iterate's rhs must equal a fresh assembly
     state, params = network()
     dt = 1e-5
+    start_bundle = geometry.finite_differences(state)
     fill = solver._step_rhs
     iterates = []
 
-    def checking(rhs, frozen, current, *args):
-        out = fill(rhs, frozen, current, *args)
-        assert np.array_equal(out, _fresh_step_rhs(frozen, current, state.nodes,
-                                                   params, dt))
+    def checking(rhs, current, *args):
+        out = fill(rhs, current, *args)
+        assert np.array_equal(out, _fresh_step_rhs(start_bundle, current,
+                                                   state.nodes, params, dt))
         iterates.append(current)
         return out
 
     monkeypatch.setattr(solver, "_step_rhs", checking)
     solver.picard_step(state, params, SolverConfig(dt=dt))
     assert len(iterates) >= 3
+    # the first iterate is the start state itself
+    for field in ("d1", "d2", "d3", "d4", "speed"):
+        assert np.array_equal(getattr(iterates[0], field), getattr(start_bundle, field))
+
+
+@pytest.mark.parametrize("network, iterates", zip(STEP_NETWORKS, STEP_ITERATES))
+def test_step_forms_projectors_once_and_b_once_per_iterate(network, iterates,
+                                                           monkeypatch):
+    # E_i of the start state are formed once per step; b is formed once
+    # per Picard iterate, from that iterate's bundle
+    state, params = network()
+    calls = {"projectors": 0, "linearize_boundary": 0, "_solve": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(junction, "projectors")
+    counting(junction, "linearize_boundary")
+    counting(solver, "_solve")
+    solver.picard_step(state, params, SolverConfig(dt=1e-5))
+    junction_rows = state.q >= 2
+    assert calls == {"projectors": int(junction_rows),
+                     "linearize_boundary": iterates * junction_rows,
+                     "_solve": iterates}
 
 
 def test_wrong_factor_fails_the_residual_check():
     # the factor of the dt = 1e-2 matrix is far from the inverse of the
     # dt = 1e-6 one; refinement cannot close the gap
-    state, params = fixtures.triod_bent(N=32)
-    bundle = geometry.finite_differences(state)
-    matrix, _, perm_c = solver._step_matrix(bundle, params, 1e-6)
-    _, other, _ = solver._step_matrix(bundle, params, 1e-2)
+    state, _ = fixtures.triod_bent(N=32)
+    matrix, _, perm_c = _step_matrix_of(state, 1e-6)
+    _, other, _ = _step_matrix_of(state, 1e-2)
     lu = sp.linalg.splu(other, permc_spec="NATURAL")
     with pytest.raises(StepError, match="linear step residual") as exc_info:
         solver._solve(matrix, lu, perm_c, np.ones(state.nodes.shape), 0.25)
