@@ -21,7 +21,7 @@ for name, (state, params) in (
     print(f"order-0 compatibility: {'ok' if report.passed else 'FAIL'} "
           f"({len(report.records)} conditions)")
     for rec in report.failing():
-        print(f"  failing: {rec.condition} residual {rec.residual:.3e}")
+        print(f"  failing: {rec}")
 
     bundle = geometry.finite_differences(state)
     tangents = junction.tangents(bundle)

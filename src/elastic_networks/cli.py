@@ -50,9 +50,7 @@ def cmd_check(args):
     bundle = geometry.finite_differences(state)
     report = wellposed.check_compat_order0(state, params, bundle=bundle)
     for rec in report.records:
-        mark = "ok " if rec.passed else "FAIL"
-        print(f"[{mark}] {rec.condition} curve={rec.curve} "
-              f"end={rec.endpoint} residual={rec.residual:.3e}")
+        print(f"[{'ok ' if rec.passed else 'FAIL'}] {rec}")
     failed |= not report.passed
 
     if state.q >= 2:

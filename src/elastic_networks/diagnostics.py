@@ -42,23 +42,15 @@ def network_energy(state, params, bundle=None):
     return float(np.sum(_energies(bundle, params.lam, 1.0 / state.N)))
 
 
-def energy_gradient(bundle):
-    """L^2 gradient of the bending energy: nabla_s^2 kappa + |kappa|^2 kappa / 2."""
-    kap = geometry.curvature(bundle)
-    k2 = np.einsum("ij,ij->i", kap, kap)
-    return geometry.nabla_s2_kappa(bundle) + 0.5 * k2[:, None] * kap
-
-
 def first_variation_check(curve, direction, functional="elastic", lam=0.0,
                           eps=1e-5):
     """Analytic and finite-difference first variation along a direction.
 
     functional is "length" (L^2 gradient -kappa), "elastic" (bending
-    energy, gradient nabla_s^2 kappa + |kappa|^2 kappa / 2) or
-    "penalized" (bending plus lam times length).  The direction should
-    vanish to high order at both endpoints so that the boundary terms of
-    the integration by parts drop out.  Returns the pair
-    (analytic, numeric).
+    energy, gradient geometry.energy_gradient) or "penalized" (bending
+    plus lam times length).  The direction should vanish to high order at
+    both endpoints so that the boundary terms of the integration by parts
+    drop out.  Returns the pair (analytic, numeric).
     """
     direction = np.asarray(direction, dtype=float)
     bundle = geometry.finite_differences(curve)
@@ -67,10 +59,10 @@ def first_variation_check(curve, direction, functional="elastic", lam=0.0,
         grad = -kap
         lam_bend, lam_len = 0.0, 1.0
     elif functional == "elastic":
-        grad = energy_gradient(bundle)
+        grad = geometry.energy_gradient(bundle)
         lam_bend, lam_len = 1.0, 0.0
     elif functional == "penalized":
-        grad = energy_gradient(bundle) - lam * kap
+        grad = geometry.energy_gradient(bundle) - lam * kap
         lam_bend, lam_len = 1.0, lam
     else:
         raise ValueError(f"unknown functional {functional!r}")
@@ -79,10 +71,10 @@ def first_variation_check(curve, direction, functional="elastic", lam=0.0,
 
     def value(nodes):
         c = geometry.CurveSamples(nodes)
-        b = geometry.finite_differences(c)
         if lam_bend:
-            return float(_energies(b, lam_len, c.h))
-        return lam_len * float(np.trapezoid(b.speed, dx=c.h))
+            return elastic_energy(c, lam_len)
+        return lam_len * float(np.trapezoid(geometry.finite_differences(c).speed,
+                                            dx=c.h))
 
     numeric = (value(curve.nodes + eps * direction)
                - value(curve.nodes - eps * direction)) / (2.0 * eps)

@@ -8,7 +8,8 @@ differences: centered stencils in the interior, shifted stencils of the
 same formal order near the two ends.  A network stores its q curves as
 one read-only (q, N+1, n) array (NetworkState.nodes); its bundle comes
 from one block-diagonal operator, and every formula takes a curve's or
-a network's bundle.
+a network's bundle.  finite_differences is the one regularity check, so
+the formulas trust the speeds of the bundles it makes.
 """
 
 import math
@@ -245,25 +246,34 @@ def finite_differences(curves):
 
 
 def _require_regular(speed):
+    # a NaN speed fails both comparisons and is reported like a vanishing one
     if speed.min() >= SPEED_FLOOR:
         return
-    bad = np.flatnonzero(speed < SPEED_FLOOR)
-    if bad.size:
-        curve, node = divmod(int(bad[0]), speed.shape[-1])
-        raise RegularityError(
-            f"degenerate speed {speed.flat[bad[0]]:.3e} at node {node}",
-            curve=curve if speed.ndim > 1 else None,
-            node=node,
-        )
+    bad = int(np.flatnonzero(~(speed >= SPEED_FLOOR))[0])
+    curve, node = divmod(bad, speed.shape[-1])
+    raise RegularityError(
+        f"degenerate speed {speed.flat[bad]:.3e} at node {node}",
+        curve=curve if speed.ndim > 1 else None,
+        node=node,
+    )
 
 
 def _dots(a, b):
     return np.einsum("...j,...j->...", a, b)
 
 
+def unit_tangents(bundle):
+    """Unit tangent T = f'/|f'| at every node of the bundle."""
+    return bundle.d1 / bundle.speed[..., None]
+
+
+def _normal_part(v, t):
+    # v - <v, T> T for unit tangents t
+    return v - _dots(v, t)[..., None] * t
+
+
 def curvature(bundle):
     """Curvature vector: second arclength derivative of the parametrization."""
-    _require_regular(bundle.speed)
     s = bundle.speed
     proj = _dots(bundle.d2, bundle.d1)
     return bundle.d2 / s[..., None]**2 - (proj / s**4)[..., None] * bundle.d1
@@ -310,25 +320,18 @@ def _ds4(bundle):
 
 def nabla_s_kappa(bundle):
     """Normal projection of the third arclength derivative."""
-    _require_regular(bundle.speed)
-    t = bundle.d1 / bundle.speed[..., None]
-    ds3 = _ds3(bundle)
-    return ds3 - _dots(ds3, t)[..., None] * t
+    return _normal_part(_ds3(bundle), unit_tangents(bundle))
 
 
 def nabla_s2_kappa(bundle):
     """Second covariant arclength derivative of the curvature vector."""
-    _require_regular(bundle.speed)
-    t = bundle.d1 / bundle.speed[..., None]
-    ds3 = _ds3(bundle)
-    ds4 = _ds4(bundle)
-    kap = curvature(bundle)
-    return ds4 - _dots(ds4, t)[..., None] * t - _dots(ds3, t)[..., None] * kap
+    t = unit_tangents(bundle)
+    tang3 = _dots(_ds3(bundle), t)[..., None]
+    return _normal_part(_ds4(bundle), t) - tang3 * curvature(bundle)
 
 
 def phi_star(bundle, lam):
     """Tangential speed that turns the flow into a non-degenerate system."""
-    _require_regular(bundle.speed)
     d1, d2, d3, d4 = bundle.d1, bundle.d2, bundle.d3, bundle.d4
     s = bundle.speed
     p21 = _dots(d2, d1)
@@ -343,7 +346,6 @@ def phi_star(bundle, lam):
 
 def h_lower(bundle, lam):
     """Lower-order terms of the parabolic form of the flow."""
-    _require_regular(bundle.speed)
     d1, d2, d3 = bundle.d1, bundle.d2, bundle.d3
     s = bundle.speed
     s4, s6 = s**4, s**6
@@ -359,18 +361,16 @@ def h_lower(bundle, lam):
 
 def flow_velocity(bundle, lam):
     """Node-wise velocity in parabolic form: -f''''/|f'|^4 + h(f)."""
-    _require_regular(bundle.speed)
     return -bundle.d4 / bundle.speed[..., None]**4 + h_lower(bundle, lam)
 
 
-def geometric_velocity(bundle, lam):
-    """The same velocity assembled from the geometric quantities."""
-    t = bundle.d1 / bundle.speed[..., None]
+def energy_gradient(bundle):
+    """L^2 gradient of the bending energy: nabla_s^2 kappa + |kappa|^2 kappa / 2."""
     kap = curvature(bundle)
-    k2 = _dots(kap, kap)
-    return (
-        -nabla_s2_kappa(bundle)
-        - 0.5 * k2[..., None] * kap
-        + lam * kap
-        + phi_star(bundle, lam)[..., None] * t
-    )
+    return nabla_s2_kappa(bundle) + 0.5 * _dots(kap, kap)[..., None] * kap
+
+
+def geometric_velocity(bundle, lam):
+    """The same velocity in geometric form: -energy_gradient + lam kappa + phi* T."""
+    return (-energy_gradient(bundle) + lam * curvature(bundle)
+            + phi_star(bundle, lam)[..., None] * unit_tangents(bundle))

@@ -109,7 +109,7 @@ def _projector_complement(d):
 
 def tangents(bundle):
     """Unit junction tangents T_i = f_i'(0) / |f_i'(0)| of a stacked bundle."""
-    return bundle.d1[:, 0] / bundle.speed[:, :1]
+    return geometry.unit_tangents(bundle[:, 0])
 
 
 def projectors(tangents, coefficients):

@@ -116,7 +116,8 @@ def _solve(matrix, lu, perm_c, rhs, time):
     for _refine in range(2):
         x += lu.solve(b - matrix @ x)[perm_c]
     residual = np.max(np.abs(matrix @ x - b))
-    if residual > LINEAR_RESIDUAL_TOL * (1.0 + np.max(np.abs(b))):
+    # written so that a NaN residual fails too
+    if not residual <= LINEAR_RESIDUAL_TOL * (1.0 + np.max(np.abs(b))):
         raise StepError(f"linear step residual {residual:.3e} too large",
                         time=time)
     return x.reshape(rhs.shape)
@@ -331,8 +332,8 @@ def evolve(state, params, config, observers=(), preflight="strict"):
     about incompatible data; collinear junction tangents stay fatal) or
     "skip".
     On a mid-run failure the raised exception carries the trajectory
-    computed so far in its .trajectory attribute; a StepError, and the
-    guard's RegularityError, carry the time of the failing step in .time.
+    computed so far in its .trajectory attribute and the time of the
+    failing step in .time.
     """
     if preflight not in ("strict", "warn", "skip"):
         raise ConfigurationError("preflight must be strict, warn or skip")
@@ -345,10 +346,7 @@ def evolve(state, params, config, observers=(), preflight="strict"):
                                         "collinear")
         report = wellposed.check_compat_order0(state, params, bundle=bundle)
         if not report.passed:
-            lines = ", ".join(
-                f"{r.condition}[curve {r.curve}, end {r.endpoint}] = {r.residual:.3e}"
-                for r in report.failing()
-            )
+            lines = ", ".join(str(r) for r in report.failing())
             if preflight == "strict":
                 raise ConfigurationError(
                     f"initial network violates the boundary conditions: {lines}"
@@ -356,13 +354,16 @@ def evolve(state, params, config, observers=(), preflight="strict"):
             warnings.warn(f"incompatible initial network: {lines}")
     initial_margin = wellposed.parabolicity_margin(bundle.speed)
     num_steps = config.num_steps
-    # the last frame lands on state.time + t_end exactly
-    times = np.linspace(state.time, state.time + config.t_end, num_steps + 1)
+    # the frame times of np.linspace(start, stop, num_steps + 1), taken
+    # one at a time with its arithmetic; the last lands on stop exactly
+    start, stop = state.time, state.time + config.t_end
+    increment = (stop - start) / num_steps
     trajectory = [state]
     try:
         for step in range(num_steps):
-            state = picard_step(state, params, config, bundle=bundle,
-                                time=float(times[step + 1]))
+            time = float(stop if step == num_steps - 1
+                         else (step + 1) * increment + start)
+            state = picard_step(state, params, config, bundle=bundle, time=time)
             # the accepted state's one bundle: the guard reads its speeds
             # and the next step starts from it
             bundle = geometry.finite_differences(state)
@@ -372,6 +373,8 @@ def evolve(state, params, config, observers=(), preflight="strict"):
             for obs in observers:
                 obs(state)
     except (StepError, RegularityError) as err:
+        if err.time is None:  # finite_differences knows no time
+            err.time = time
         err.trajectory = trajectory
         raise
     return trajectory

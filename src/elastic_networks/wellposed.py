@@ -32,6 +32,18 @@ class CompatRecord:
     def passed(self):
         return self.residual <= self.tol
 
+    def __str__(self):
+        """condition[where] = residual (tol ...), where names the curve and
+        end, the junction, or for a match both curves at the junction."""
+        name, pair, curves = self.condition.partition("[")
+        if pair:  # "fourth-derivative-match[i,j]"
+            where = f"junction, curves {curves[:-1].replace(',', ' and ')}"
+        elif self.curve == -1:
+            where = "junction" if self.endpoint == 0 else "network"
+        else:
+            where = f"curve {self.curve}, end {self.endpoint}"
+        return f"{name}[{where}] = {self.residual:.3e} (tol {self.tol:.3e})"
+
 
 @dataclass(frozen=True)
 class CompatReport:
@@ -40,18 +52,6 @@ class CompatReport:
     @property
     def passed(self):
         return all(r.passed for r in self.records)
-
-    def to_records(self):
-        return [
-            {
-                "condition": r.condition,
-                "curve": r.curve,
-                "endpoint": r.endpoint,
-                "residual": r.residual,
-                "pass": r.passed,
-            }
-            for r in self.records
-        ]
 
     def failing(self):
         return [r for r in self.records if not r.passed]
@@ -182,7 +182,7 @@ def check_compat_order1(network, params, tol=DEFAULT_TOL):
 def parabolicity_margin(speeds):
     """Fourth power of the smallest coefficient 1/|f'| over the network."""
     speeds = np.asarray(speeds, dtype=float)
-    if np.any(speeds < SPEED_FLOOR):
+    if not np.all(speeds >= SPEED_FLOOR):  # NaN included
         raise RegularityError("nonpositive speed in parabolicity margin")
     return float(np.min(1.0 / speeds))**4
 

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from elastic_networks import cli, fixtures, io, repar
+from elastic_networks import cli, fixtures, geometry, io, repar, wellposed
 from elastic_networks.errors import ConfigurationError, DiffeoBreakdownError
+from elastic_networks.geometry import NetworkState
 from elastic_networks.solver import SolverConfig
 
 
@@ -273,6 +274,42 @@ def test_simulate_breakdown_exit_code(tmp_path):
     code = cli.main(["simulate", "--network", net, "--config", config,
                      "--out", out])
     assert code == cli.EXIT_BREAKDOWN
+
+
+def test_simulate_regularity_breakdown_exit_code(tmp_path, capsys, monkeypatch):
+    # a NaN node on the 10th bundle build, mid-run
+    differentiate = geometry.finite_differences
+    calls = []
+
+    def failing(network):
+        calls.append(network)
+        if len(calls) == 10:
+            nodes = network.nodes.copy()
+            nodes[2, 4, 1] = np.nan
+            network = NetworkState(nodes, time=network.time)
+        return differentiate(network)
+
+    monkeypatch.setattr(geometry, "finite_differences", failing)
+    net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
+    config = _write_config(tmp_path, dt=1e-5, t_end=5e-5)
+    out = str(tmp_path / "run")
+    code = cli.main(["simulate", "--network", net, "--config", config,
+                     "--out", out])
+    assert code == cli.EXIT_BREAKDOWN
+    assert "breakdown: degenerate speed nan" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_check_prints_one_rendering_per_record(tmp_path, capsys):
+    state, params = fixtures.triod_bent(N=48)
+    path = _write_network(tmp_path, "net.json", (state, params))
+    cli.main(["check", "--network", path])
+    lines = capsys.readouterr().out.splitlines()
+    records = wellposed.check_compat_order0(state, params).records
+    assert lines[:len(records)] == [f"[ok ] {rec}" for rec in records]
+    assert "[ok ] third-order-sum[junction] = " in lines[len(records) - 4]
+    assert lines[len(records) - 1].startswith(
+        "[ok ] fourth-derivative-match[junction, curves 1 and 2] = ")
 
 
 def test_equivalence_small_run(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elastic_networks import geometry
+from elastic_networks import fixtures, geometry
 from elastic_networks.errors import ConfigurationError, RegularityError
 from elastic_networks.fixtures import circle
 
@@ -124,6 +124,17 @@ def test_degenerate_speed_raises():
         geometry.finite_differences(geometry.CurveSamples(nodes))
 
 
+def test_nan_node_is_a_regularity_error_naming_curve_and_node():
+    # a NaN speed compares False with the floor both ways; it must still fail
+    x = np.linspace(0.0, 1.0, 17)
+    nodes = np.stack([np.stack([x, k * x], axis=1) for k in range(3)])
+    nodes[1, 5, 0] = np.nan
+    with pytest.raises(RegularityError, match="degenerate speed nan") as exc_info:
+        geometry.finite_differences(geometry.NetworkState(nodes))
+    # node 4 is the first node whose centered first-derivative stencil reads it
+    assert (exc_info.value.curve, exc_info.value.node) == (1, 4)
+
+
 def _exact_bundle_and_oracle():
     """Exact derivatives of a polynomial plane curve plus sympy oracle values."""
     import sympy as sm
@@ -173,6 +184,11 @@ def test_curvature_chain_against_symbolic_oracle():
     assert np.allclose(geometry.nabla_s_kappa(bundle), oracle["nsk"], atol=1e-12)
     assert np.allclose(geometry.nabla_s2_kappa(bundle), oracle["ns2k"],
                        atol=1e-12)
+    assert np.allclose(geometry.unit_tangents(bundle), oracle["tangent"],
+                       atol=1e-12)
+    kappa = oracle["kappa"]
+    gradient = oracle["ns2k"] + 0.5 * np.sum(kappa * kappa, axis=1)[:, None] * kappa
+    assert np.allclose(geometry.energy_gradient(bundle), gradient, atol=1e-12)
 
 
 def test_velocity_splits_into_normal_and_tangential_parts():
@@ -274,6 +290,15 @@ def test_stacked_bundle_equals_per_curve_bundles(q, n):
             (2.0 + rng.random(n)) * np.pi * x + rng.random(n)))
         for _ in range(q)
     ])
+
+
+def test_energy_gradient_of_a_network_is_its_curves_gradients():
+    state, _ = fixtures.q4_spatial(N=48)
+    stacked = geometry.energy_gradient(geometry.finite_differences(state))
+    assert stacked.shape == state.nodes.shape
+    for i, curve in enumerate(state.curves):
+        assert np.array_equal(stacked[i], geometry.energy_gradient(
+            geometry.finite_differences(curve)))
 
 
 @settings(max_examples=60, deadline=None)

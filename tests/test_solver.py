@@ -259,6 +259,12 @@ def test_preflight_message_names_condition_curve_and_end():
         solver.evolve(bad, params, config, preflight="warn")
     with pytest.raises(ConfigurationError, match=r"endpoint-pin\[curve 1, end 1\]"):
         solver.evolve(bad, params, config, preflight="strict")
+    # a match record names the junction and both curves, once
+    skewed, params = fixtures.triod_bent_skewed(N=32, skew=0.5)
+    with pytest.warns(UserWarning, match=r"fourth-derivative-match\[junction, "
+                      r"curves 1 and 2\] = ") as caught:
+        solver.evolve(skewed, params, config, preflight="warn")
+    assert "curve -1" not in str(caught[0].message)
 
 
 def _boundary_oracle(frozen, current, lam):
@@ -490,6 +496,84 @@ def test_wrong_factor_fails_the_residual_check():
     with pytest.raises(StepError, match="linear step residual") as exc_info:
         solver._solve(matrix, lu, perm_c, np.ones(state.nodes.shape), 0.25)
     assert exc_info.value.time == 0.25
+
+
+def test_nan_in_the_linear_solve_is_a_step_error():
+    # max|A x - b| is NaN then, and NaN > tol is False: the check must
+    # be written to fail on it
+    state, _ = fixtures.triod_bent(N=32)
+    matrix, permuted, perm_c = _step_matrix_of(state, 1e-6)
+    lu = sp.linalg.splu(permuted, permc_spec="NATURAL")
+    rhs = np.ones(state.nodes.shape)
+    x = solver._solve(matrix, lu, perm_c, rhs, 0.25)
+    assert np.all(np.isfinite(x))
+    assert np.max(np.abs(matrix @ x.ravel() - rhs.ravel())) <= 1e-8
+    rhs[1, 7, 0] = np.nan
+    with pytest.raises(StepError, match="linear step residual nan") as exc_info:
+        solver._solve(matrix, lu, perm_c, rhs, 0.25)
+    assert exc_info.value.time == 0.25
+
+
+def _failing_on_call(monkeypatch, call):
+    """Make the call-th finite_differences raise as on a NaN node; returns
+    the list of the times of the states differentiated so far."""
+    differentiate = geometry.finite_differences
+    times = []
+
+    def failing(network):
+        times.append(network.time)
+        if len(times) == call:
+            nodes = network.nodes.copy()
+            nodes[0, 3, 0] = np.nan
+            network = NetworkState(nodes, time=network.time)
+        return differentiate(network)
+
+    monkeypatch.setattr(geometry, "finite_differences", failing)
+    return times
+
+
+# build 8 is the first accepted state's, build 10 one inside the second
+# step's Picard iteration
+@pytest.mark.parametrize("call, time", [(8, 1e-5), (10, 2e-5)])
+def test_regularity_error_mid_step_carries_time_and_partial_trajectory(
+        monkeypatch, call, time):
+    # finite_differences itself knows no time; evolve sets the step's
+    state, params = fixtures.triod_bent(N=32)
+    config = SolverConfig(dt=1e-5, t_end=1e-4)
+    times = _failing_on_call(monkeypatch, call)
+    with pytest.raises(RegularityError, match="degenerate speed") as exc_info:
+        solver.evolve(state, params, config)
+    err = exc_info.value
+    assert err.time == times[-1] == time
+    assert err.trajectory[0] is state
+    assert [frame.time for frame in err.trajectory] == [
+        t for t in np.linspace(0.0, 1e-4, 11) if t < err.time]
+
+
+def test_frame_times_are_linspace_from_a_nonzero_start():
+    state, params = fixtures.triod_equilibrium(N=32)
+    state = NetworkState(state.nodes, time=0.3)
+    trajectory = solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=2e-4))
+    assert [frame.time for frame in trajectory] == np.linspace(
+        0.3, 0.3 + 2e-4, 21).tolist()
+
+
+def test_a_huge_step_count_runs_its_first_step():
+    # about 1e18 steps: no frame time array may be built up front
+    state, params = fixtures.triod_equilibrium(N=32)
+    config = SolverConfig(dt=1e-5, t_end=1e13)
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def observer(frame):
+        seen.append(frame.time)
+        raise Stop
+
+    with pytest.raises(Stop):
+        solver.evolve(state, params, config, observers=(observer,))
+    assert seen == [1e13 / config.num_steps]
 
 
 def test_handed_in_bundle_is_not_rebuilt(monkeypatch):

@@ -79,13 +79,17 @@ def test_order1_rejects_bent_triod():
     assert "second-derivative-of-velocity" in failing
 
 
-def test_report_serialization():
-    state, params = fixtures.triod_equilibrium(N=48)
-    report = wellposed.check_compat_order0(state, params)
-    rows = report.to_records()
-    assert all(set(r) == {"condition", "curve", "endpoint", "residual", "pass"}
-               for r in rows)
-    assert all(r["pass"] for r in rows)
+def test_record_rendering_names_where_each_condition_applies():
+    def rendered(condition, curve, endpoint):
+        return str(wellposed.CompatRecord(condition, curve, endpoint, 2.5e-3, 1e-8))
+
+    assert rendered("endpoint-pin", 1, 1) == (
+        "endpoint-pin[curve 1, end 1] = 2.500e-03 (tol 1.000e-08)")
+    assert rendered("third-order-sum", -1, 0).startswith("third-order-sum[junction] = ")
+    assert rendered("order0-prerequisite", -1, -1).startswith(
+        "order0-prerequisite[network] = ")
+    assert rendered("fourth-derivative-match[0,2]", 0, 0).startswith(
+        "fourth-derivative-match[junction, curves 0 and 2] = ")
 
 
 def test_parabolicity_margin():
@@ -96,6 +100,8 @@ def test_parabolicity_margin():
         [np.full(5, 1.0), np.full(5, 2.0)]) == pytest.approx(1.0 / 16.0)
     with pytest.raises(RegularityError):
         wellposed.parabolicity_margin([np.array([1.0, 0.0, 1.0])])
+    with pytest.raises(RegularityError):
+        wellposed.parabolicity_margin([np.array([1.0, np.nan, 1.0])])
 
 
 def test_positive_roots_reference_case():
