@@ -18,8 +18,7 @@ state, params = fixtures.triod_bent_skewed(N=128, skew=0.4)
 config = SolverConfig(dt=5e-6, t_end=2e-3, store_every=2)
 
 run_a = solver.evolve(state, params, config, preflight="warn")
-resampled = NetworkState([repar.const_speed_reparam(c)[0]
-                          for c in state.curves])
+resampled = NetworkState(repar.const_speed_reparam(state)[0])
 run_b = solver.evolve(resampled, params, config, preflight="warn")
 
 raw = max(

@@ -136,10 +136,8 @@ def cmd_equivalence(args):
     # vanish to the strict preflight tolerance
     try:
         run_a = evolve(state, params, config, preflight="warn")
-        resampled = NetworkState(
-            curves=[repar.const_speed_reparam(c)[0] for c in state.curves],
-            time=state.time,
-        )
+        resampled = NetworkState(repar.const_speed_reparam(state)[0],
+                                 time=state.time)
         run_b = evolve(resampled, params, config, preflight="warn")
         certificate, _ = repar.geometric_equivalence(run_a, run_b, params.lam)
     except (ConfigurationError, NonCollinearError) as err:

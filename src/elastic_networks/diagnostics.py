@@ -185,12 +185,12 @@ def decimate(records, limit=MAX_CSV_SLICES):
     return [records[i] for i in idx]
 
 
-def records_to_csv(records, limit=MAX_CSV_SLICES):
-    """Serialize records to CSV text, decimated to at most limit rows."""
+def records_to_csv(records):
+    """Serialize records to CSV text, decimated to at most MAX_CSV_SLICES rows."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(DiagnosticsRecord.FIELDS)
-    for rec in decimate(records, limit):
+    for rec in decimate(records):
         writer.writerow([repr(float(getattr(rec, f)))
                          for f in DiagnosticsRecord.FIELDS])
     return buf.getvalue()

@@ -371,6 +371,9 @@ def energy_gradient(bundle):
 
 
 def geometric_velocity(bundle, lam):
-    """The same velocity in geometric form: -energy_gradient + lam kappa + phi* T."""
-    return (-energy_gradient(bundle) + lam * curvature(bundle)
+    """The same velocity in geometric form: -energy_gradient + lam kappa + phi* T.
+
+    lam is taken as by flow_velocity: a number, or (q, 1) for a network.
+    """
+    return (-energy_gradient(bundle) + np.asarray(lam)[..., None] * curvature(bundle)
             + phi_star(bundle, lam)[..., None] * unit_tangents(bundle))

@@ -8,47 +8,16 @@ the residual mismatch gives a certificate of geometric equivalence.
 
 Importing this module loads no part of SciPy, so that runs which never
 reparametrize do not pay for it: the cumulative arclength is summed with
-NumPy, and scipy.interpolate (with scipy.optimize, scipy.special and
-scipy.spatial, which it pulls in) is imported on the first evaluation of
-a Diffeomorphism, i.e. by const_speed_reparam and geometric_equivalence.
+NumPy, and inverse_map, the one PCHIP evaluation, imports scipy.interpolate
+(with scipy.optimize, scipy.special and scipy.spatial) on its first call.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from .errors import ConfigurationError, DiffeoBreakdownError
-from .geometry import CurveSamples
-
-
-@dataclass(frozen=True)
-class Diffeomorphism:
-    """Monotone map of [0, 1] sampled on a uniform grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-        if g.shape != v.shape or g.ndim != 1:
-            raise ConfigurationError("grid and values must be matching 1-d arrays")
-        if np.any(np.diff(v) <= 0):
-            raise DiffeoBreakdownError("sampled map is not strictly increasing")
-
-    def __call__(self, x):
-        from scipy.interpolate import PchipInterpolator
-
-        return PchipInterpolator(self.grid, self.values)(x)
-
-    def inverse(self, y):
-        from scipy.interpolate import PchipInterpolator
-
-        return PchipInterpolator(self.values, self.grid)(y)
 
 
 # for each stencil node m, the other three in increasing order and the
@@ -94,31 +63,51 @@ def resample(nodes, positions):
     return out[..., 0] if scalar_field else out
 
 
-def arclength_map(curve):
-    """Normalized cumulative arclength of a sampled curve as a diffeomorphism."""
-    bundle = geometry.finite_differences(curve)
-    # the trapezoid sums exactly as scipy.integrate.cumulative_trapezoid
-    # forms them, so the map matches it bit for bit
-    speed = bundle.speed
-    arc = np.concatenate(([0.0], np.cumsum(curve.h * (speed[1:] + speed[:-1]) / 2.0)))
-    values = arc / arc[-1]
-    values[0], values[-1] = 0.0, 1.0
-    grid = np.linspace(0.0, 1.0, curve.N + 1)
-    return Diffeomorphism(grid=grid, values=values)
+def arclength_map(speed, h):
+    """Normalized cumulative arclength of curves with node speeds (..., N+1).
 
-
-def const_speed_reparam(curve):
-    """Constant-speed resampling of a curve.
-
-    Returns the resampled curve together with the diffeomorphism phi that
-    maps the original parameter to the new one (the new curve is the old
-    one composed with the inverse of phi).
+    The trapezoids are summed exactly as scipy.integrate.cumulative_trapezoid
+    forms them, so each map matches it bit for bit.  Raises
+    DiffeoBreakdownError if a map is not strictly increasing.
     """
-    phi = arclength_map(curve)
-    grid = phi.grid
-    psi = np.clip(phi.inverse(grid), 0.0, 1.0)
-    psi[0], psi[-1] = 0.0, 1.0
-    return CurveSamples(resample(curve.nodes, psi)), phi
+    arc = np.cumsum(h * (speed[..., 1:] + speed[..., :-1]) / 2.0, axis=-1)
+    # values end at arc / arc, which is exactly 1
+    values = np.zeros(speed.shape)
+    values[..., 1:] = arc / arc[..., -1:]
+    if np.any(np.diff(values, axis=-1) <= 0):
+        raise DiffeoBreakdownError("sampled map is not strictly increasing")
+    return values
+
+
+def inverse_map(values, at):
+    """Inverses of maps (..., N+1) on the uniform grid, evaluated at (..., M).
+
+    at may also be (M,), the same points for every map.  Each map is
+    inverted by the monotone cubic (PCHIP) interpolant through (values,
+    grid); the results are clipped to [0, 1] with both ends pinned.
+    """
+    from scipy.interpolate import PchipInterpolator
+
+    at = np.broadcast_to(at, values.shape[:-1] + np.shape(at)[-1:])
+    grid = np.linspace(0.0, 1.0, values.shape[-1])
+    rows = [PchipInterpolator(row, grid)(y) for row, y in
+            zip(values.reshape(-1, grid.size), at.reshape(-1, at.shape[-1]))]
+    out = np.clip(np.reshape(rows, at.shape), 0.0, 1.0)
+    out[..., 0], out[..., -1] = 0.0, 1.0
+    return out
+
+
+def const_speed_reparam(curves):
+    """Constant-speed resampling of a curve (N+1, n) or network (q, N+1, n).
+
+    Returns the resampled nodes and the arclength maps phi, (..., N+1):
+    each new curve is the old one composed with the inverse of its phi.
+    """
+    nodes = curves.nodes
+    phi = arclength_map(geometry.finite_differences(curves).speed,
+                        1.0 / (nodes.shape[-2] - 1))
+    psi = inverse_map(phi, np.linspace(0.0, 1.0, phi.shape[-1]))
+    return resample(nodes, psi), phi
 
 
 def _tangential_speed_fields(state, lam):
@@ -198,21 +187,17 @@ def geometric_equivalence(trajectory_a, trajectory_b, lam):
             f"runs differ in curve count or ambient dimension: node arrays "
             f"(q, N+1, n) = {shape_a} and {shape_b}")
     times = np.array([s.time for s in trajectory_a])
-    times_b = np.array([s.time for s in trajectory_b])
-    if not np.allclose(times, times_b, atol=1e-12):
+    if not np.allclose(times, [s.time for s in trajectory_b], atol=1e-12):
         raise ConfigurationError("trajectories must store matching times")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
 
     fields_a = [_tangential_speed_fields(s, lam) for s in trajectory_a]
     fields_b = [_tangential_speed_fields(s, lam) for s in trajectory_b]
 
-    # initial maps: match normalized arclength of the two initial curves
-    phi0 = np.array([
-        arclength_map(curve_a).inverse(arclength_map(curve_b).values)
-        for curve_a, curve_b in zip(trajectory_a[0].curves, trajectory_b[0].curves)
-    ])
-    phi0 = np.clip(phi0, 0.0, 1.0)
-    phi0[:, 0], phi0[:, -1] = 0.0, 1.0
+    # initial maps: match the normalized arclengths of the two initial
+    # networks, from the speeds their frame-0 fields already hold
+    phi0 = inverse_map(arclength_map(fields_a[0][1], 1.0 / trajectory_a[0].N),
+                       arclength_map(fields_b[0][1], 1.0 / trajectory_b[0].N))
 
     maps = tangential_ode(times, fields_a, fields_b, phi0)
     # every curve of every frame in one call: (q, frames, N+1, n)

@@ -328,30 +328,26 @@ def regularity_guard(state, bundle, initial_margin, config):
 def evolve(state, params, config, observers=(), preflight="strict"):
     """Run the flow from state for a time t_end; returns the stored trajectory.
 
-    preflight is "strict" (reject incompatible data), "warn" (only warn
-    about incompatible data; collinear junction tangents stay fatal) or
-    "skip".
+    preflight is "strict" (reject incompatible data) or "warn" (only warn
+    about incompatible data; collinear junction tangents stay fatal).
     On a mid-run failure the raised exception carries the trajectory
     computed so far in its .trajectory attribute and the time of the
     failing step in .time.
     """
-    if preflight not in ("strict", "warn", "skip"):
-        raise ConfigurationError("preflight must be strict, warn or skip")
+    if preflight not in ("strict", "warn"):
+        raise ConfigurationError("preflight must be strict or warn")
     bundle = geometry.finite_differences(state)
-    if preflight != "skip":
-        if state.q >= 2:
-            if junction.span_dimension(junction.tangents(bundle)) < 2:
-                raise NonCollinearError("non-collinearity condition (NC) "
-                                        "violated: the junction tangents are "
-                                        "collinear")
-        report = wellposed.check_compat_order0(state, params, bundle=bundle)
-        if not report.passed:
-            lines = ", ".join(str(r) for r in report.failing())
-            if preflight == "strict":
-                raise ConfigurationError(
-                    f"initial network violates the boundary conditions: {lines}"
-                )
-            warnings.warn(f"incompatible initial network: {lines}")
+    if state.q >= 2 and junction.span_dimension(junction.tangents(bundle)) < 2:
+        raise NonCollinearError("non-collinearity condition (NC) violated: "
+                                "the junction tangents are collinear")
+    report = wellposed.check_compat_order0(state, params, bundle=bundle)
+    if not report.passed:
+        lines = ", ".join(str(r) for r in report.failing())
+        if preflight == "strict":
+            raise ConfigurationError(
+                f"initial network violates the boundary conditions: {lines}"
+            )
+        warnings.warn(f"incompatible initial network: {lines}")
     initial_margin = wellposed.parabolicity_margin(bundle.speed)
     num_steps = config.num_steps
     # the frame times of np.linspace(start, stop, num_steps + 1), taken

@@ -251,8 +251,7 @@ def test_10_reparametrization_certificate():
     # discrete preflight tolerance
     with pytest.warns(UserWarning, match="incompatible initial network"):
         run_a = solver.evolve(state, params, config, preflight="warn")
-        resampled = solver.NetworkState(
-            [repar.const_speed_reparam(c)[0] for c in state.curves])
+        resampled = solver.NetworkState(repar.const_speed_reparam(state)[0])
         run_b = solver.evolve(resampled, params, config, preflight="warn")
     certificate, _ = repar.geometric_equivalence(run_a, run_b, params.lam)
     raw = max(

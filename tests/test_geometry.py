@@ -222,6 +222,15 @@ def test_geometric_velocity_matches_parabolic_form():
         v2 = geometry.geometric_velocity(bundle, lam)
         scale = 1.0 + np.max(np.linalg.norm(v1, axis=1))
         assert np.max(np.linalg.norm(v1 - v2, axis=1)) / scale < 1e-8
+    # a network bundle with one penalty per curve, shaped (q, 1) as
+    # flow_velocity takes it, gives each curve's own velocity
+    state, _ = fixtures.triod_bent(N=64)
+    lam = np.array([0.5, 1.0, 2.0])
+    stacked = geometry.geometric_velocity(geometry.finite_differences(state), lam[:, None])
+    assert stacked.shape == (3, 65, 2)
+    for i, curve in enumerate(state.curves):
+        bundle = geometry.finite_differences(curve)
+        assert np.array_equal(stacked[i], geometry.geometric_velocity(bundle, lam[i]))
 
 
 def test_circle_curvature_and_flow_speed():

@@ -4,21 +4,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elastic_networks import fixtures, repar, solver
+from elastic_networks import fixtures, geometry, repar, solver
 from elastic_networks.errors import ConfigurationError, DiffeoBreakdownError
 from elastic_networks.geometry import CurveSamples
 from elastic_networks.solver import SolverConfig
 
 
-def test_diffeomorphism_validation_and_inverse():
-    grid = np.linspace(0.0, 1.0, 17)
-    phi = repar.Diffeomorphism(grid=grid, values=0.5 * (grid + grid**2))
-    x = np.linspace(0.0, 1.0, 50)
-    assert np.allclose(phi.inverse(phi(x)), x, atol=5e-4)
+def test_arclength_map_rejects_a_zero_speed_stretch():
+    # two intervals of zero speed leave the map flat there
+    speed = np.ones((2, 17))
+    speed[1, 5:8] = 0.0
+    with pytest.raises(DiffeoBreakdownError, match="not strictly increasing"):
+        repar.arclength_map(speed, 1.0 / 16)
     with pytest.raises(DiffeoBreakdownError):
-        repar.Diffeomorphism(grid=grid, values=np.zeros(17))
-    with pytest.raises(ConfigurationError):
-        repar.Diffeomorphism(grid=grid, values=grid[:5])
+        repar.arclength_map(speed[1], 1.0 / 16)
+    assert np.all(np.diff(repar.arclength_map(speed[0], 1.0 / 16)) > 0)
+
+
+def test_inverse_map_round_trip():
+    # phi(x) = (x + x^2)/2 sampled on 17 nodes, inverted at phi(x)
+    grid = np.linspace(0.0, 1.0, 17)
+    x = np.linspace(0.0, 1.0, 50)
+    phi = 0.5 * (grid + grid**2)
+    assert np.allclose(repar.inverse_map(phi, 0.5 * (x + x**2)), x, atol=5e-4)
+    # a stack of maps, each inverted at its own points or all at the same
+    stacked = repar.inverse_map(np.stack([phi, grid]), np.stack([0.5 * (x + x**2), x]))
+    assert stacked.shape == (2, 50)
+    assert np.allclose(stacked, x, atol=5e-4)
+    shared = repar.inverse_map(np.stack([grid, grid]), x)
+    assert np.allclose(shared, x, atol=1e-15)
+    assert shared[:, 0].tolist() == [0.0, 0.0] and shared[:, -1].tolist() == [1.0, 1.0]
 
 
 def test_resample_exact_on_cubics():
@@ -39,41 +54,43 @@ def test_arclength_map_exact_oracle():
     # exactly (x^2 + x)/ 2 / (value at 1) = (x^2 + x)/1.5... computed below
     x = np.linspace(0.0, 1.0, 65)
     profile = 0.5 * (x**2 + x)
-    nodes = np.outer(profile, [3.0, 4.0])
-    phi = repar.arclength_map(CurveSamples(nodes))
+    speed = geometry.finite_differences(CurveSamples(np.outer(profile, [3.0, 4.0]))).speed
     exact = profile / profile[-1]
-    assert np.allclose(phi.values, exact, atol=1e-10)
+    assert np.allclose(repar.arclength_map(speed, 1.0 / 64), exact, atol=1e-10)
 
 
 # h = 1/N is a power of two at N = 8, 128 and 2048, where multiplying by
 # it is exact, so N = 37 also checks where the factor h sits in the sum
 @pytest.mark.parametrize("N", [8, 37, 128, 2048])
 def test_arclength_map_equals_scipy_cumulative_trapezoid(N):
-    from scipy.integrate import cumulative_trapezoid
-
-    from elastic_networks import geometry
     x = np.linspace(0.0, 1.0, N + 1)
-    curve = CurveSamples(np.stack([x + 0.3 * x**2, np.sin(3.0 * x)], axis=-1))
-    arc = cumulative_trapezoid(geometry.finite_differences(curve).speed,
-                               dx=curve.h, initial=0.0)
-    expected = arc / arc[-1]
-    expected[0], expected[-1] = 0.0, 1.0
-    assert np.array_equal(repar.arclength_map(curve).values, expected)
+    network = solver.NetworkState([
+        np.stack([x + 0.3 * x**2, np.sin(3.0 * x)], axis=-1),
+        np.stack([np.cos(2.0 * x), x - 0.4 * x**3], axis=-1),
+    ])
+    speed = geometry.finite_differences(network).speed
+    expected = np.array([_arclength_oracle(curve) for curve in network.curves])
+    # one curve at a time and the stacked (q, N+1) speeds alike
+    for i, curve in enumerate(network.curves):
+        assert np.array_equal(repar.arclength_map(speed[i], curve.h), expected[i])
+    assert np.array_equal(repar.arclength_map(speed, 1.0 / N), expected)
 
 
 def test_const_speed_reparam_properties():
     state, _ = fixtures.triod_bent_skewed(N=128)
-    curve = state.curves[0]
-    resampled, phi = repar.const_speed_reparam(curve)
+    resampled, phi = repar.const_speed_reparam(state)
+    assert resampled.shape == state.nodes.shape and phi.shape == (3, 129)
     # endpoints preserved
-    assert np.allclose(resampled.nodes[0], curve.nodes[0], atol=1e-12)
-    assert np.allclose(resampled.nodes[-1], curve.nodes[-1], atol=1e-12)
-    # the resampled curve has nearly uniform speed
-    from elastic_networks import geometry
-    speed = geometry.finite_differences(resampled).speed
-    assert np.max(speed) / np.min(speed) < 1.0 + 1e-3
-    # phi is the arclength map of the original curve
-    assert np.all(np.diff(phi.values) > 0)
+    assert np.allclose(resampled[:, [0, -1]], state.nodes[:, [0, -1]], atol=1e-12)
+    # the resampled curves have nearly uniform speed
+    speed = geometry.finite_differences(solver.NetworkState(resampled)).speed
+    assert np.all(np.max(speed, axis=1) / np.min(speed, axis=1) < 1.0 + 1e-3)
+    # phi holds the arclength maps of the original curves
+    assert np.array_equal(
+        phi, repar.arclength_map(geometry.finite_differences(state).speed, 1.0 / 128))
+    # one curve on its own gives that curve's row
+    nodes, phi_0 = repar.const_speed_reparam(state.curves[0])
+    assert np.array_equal(nodes, resampled[0]) and np.array_equal(phi_0, phi[0])
 
 
 def test_tangential_ode_identity_case():
@@ -217,16 +234,30 @@ def _tangential_ode_oracle(times, fields_a, fields_b, phi0, curve_index):
     return np.array(history)
 
 
+def _arclength_oracle(curve):
+    """Normalized arclength of one curve, by SciPy's trapezoid sum."""
+    from scipy.integrate import cumulative_trapezoid
+
+    arc = cumulative_trapezoid(geometry.finite_differences(curve).speed,
+                               dx=curve.h, initial=0.0)
+    values = arc / arc[-1]
+    values[0], values[-1] = 0.0, 1.0
+    return values
+
+
 def _certificate_oracle(trajectory_a, trajectory_b, lam):
+    from scipy.interpolate import PchipInterpolator
+
     times = np.array([s.time for s in trajectory_a])
     fields_a = [list(zip(*repar._tangential_speed_fields(s, lam))) for s in trajectory_a]
     fields_b = [list(zip(*repar._tangential_speed_fields(s, lam))) for s in trajectory_b]
     certificate = 0.0
     maps = []
     for i in range(trajectory_a[0].q):
-        sigma_a = repar.arclength_map(trajectory_a[0].curves[i])
-        sigma_b = repar.arclength_map(trajectory_b[0].curves[i])
-        phi0 = np.clip(sigma_a.inverse(sigma_b.values), 0.0, 1.0)
+        sigma_a = _arclength_oracle(trajectory_a[0].curves[i])
+        sigma_b = _arclength_oracle(trajectory_b[0].curves[i])
+        grid_a = np.linspace(0.0, 1.0, sigma_a.size)
+        phi0 = np.clip(PchipInterpolator(sigma_a, grid_a)(sigma_b), 0.0, 1.0)
         phi0[0], phi0[-1] = 0.0, 1.0
         history = _tangential_ode_oracle(times, fields_a, fields_b, phi0, i)
         maps.append(history)
@@ -240,8 +271,7 @@ def _certificate_oracle(trajectory_a, trajectory_b, lam):
 def _skewed_pair(skew):
     state, params = fixtures.triod_bent_skewed(N=64, skew=skew)
     config = SolverConfig(dt=1e-5, t_end=2e-4)
-    resampled = solver.NetworkState(
-        [repar.const_speed_reparam(c)[0] for c in state.curves])
+    resampled = solver.NetworkState(repar.const_speed_reparam(state)[0])
     return (solver.evolve(state, params, config, preflight="warn"),
             solver.evolve(resampled, params, config, preflight="warn"), params)
 
@@ -268,6 +298,24 @@ def test_certificate_equals_per_curve_oracle(pair):
     assert certificate == expected
     assert maps.shape == (3, len(run_a), run_b[0].N + 1)
     assert np.array_equal(maps, expected_maps)
+
+
+def test_certificate_differentiates_each_stored_frame_once(monkeypatch):
+    # the initial maps read the speeds of the frame-0 fields, so no state
+    # is differentiated twice
+    run_a, run_b, params = _cross_grid_pair()
+    differentiate = geometry.finite_differences
+    calls = []
+
+    def counting(curves):
+        calls.append(curves)
+        return differentiate(curves)
+
+    monkeypatch.setattr(geometry, "finite_differences", counting)
+    repar.geometric_equivalence(run_a, run_b, params.lam)
+    assert (len(run_a), len(run_b)) == (11, 11)
+    assert len(calls) == 22
+    assert {id(state) for state in calls} == {id(s) for s in run_a + run_b}
 
 
 @settings(max_examples=60, deadline=None)

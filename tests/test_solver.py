@@ -140,16 +140,14 @@ def test_preflight_rejects_collinear_network():
             solver.evolve(state, params, config, preflight=preflight)
 
 
-def test_singular_step_is_a_step_error_with_partial_trajectory():
-    # collinear junction tangents make the junction rows singular; without
-    # the preflight the first factorization fails
+def test_singular_step_is_a_step_error():
+    # collinear junction tangents make the junction rows singular, so a
+    # step taken past the preflight fails in its first factorization
     state, params = fixtures.collinear_bad(N=32)
     config = SolverConfig(dt=1e-6, t_end=2e-6)
     with pytest.raises(StepError, match="cannot be factored") as exc_info:
-        solver.evolve(state, params, config, preflight="skip")
-    err = exc_info.value
-    assert err.time == 1e-6
-    assert len(err.trajectory) == 1 and err.trajectory[0] is state
+        solver.picard_step(state, params, config)
+    assert exc_info.value.time == 1e-6
 
 
 def test_guard_trip_is_a_regularity_error_with_time_and_partial_trajectory():

@@ -6,6 +6,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from elastic_networks import repar
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 WORKLOADS = PERFBENCH / "workloads.py"
@@ -43,3 +47,17 @@ def test_workloads_load_and_every_package_attribute_they_call_exists():
     missing = [f"{module}.{attr}" for module, attr in sorted(used)
                if not hasattr(getattr(workloads, module), attr)]
     assert modules and used and missing == []
+
+
+def test_certificate_per_curve_resampling_equals_the_network_call():
+    # the certificate workload resamples its networks one curve at a time,
+    # as the package once did; its callers now resample a network at once
+    workloads = _load(WORKLOADS)
+    certificate = workloads.Certificate()
+    for k in range(len(certificate.grid)):
+        state, _ = certificate.network(k)
+        per_curve = workloads.NetworkState(
+            curves=[repar.const_speed_reparam(c)[0] for c in state.curves],
+            time=state.time,
+        )
+        assert np.array_equal(per_curve.nodes, repar.const_speed_reparam(state)[0])
