@@ -43,11 +43,34 @@ def _load(loader, path, kind):
         raise SystemExit(EXIT_INVALID)
 
 
+def _run_command(command):
+    """command(args, state, params, config) on the loaded files (SolverConfig()
+    without --config); exits 1 with "error: ..." on a rejected input or
+    collinear junction, 2 with "breakdown: ..." on a solver breakdown."""
+    def run(args):
+        state, params = _load(io.load_network, args.network, "network")
+        config = (SolverConfig() if args.config is None
+                  else _load(io.load_config, args.config, "config"))
+        try:
+            return command(args, state, params, config)
+        except (ConfigurationError, NonCollinearError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_INVALID
+        except (StepError, RegularityError, DiffeoBreakdownError) as err:
+            print(f"breakdown: {err}", file=sys.stderr)
+            return EXIT_BREAKDOWN
+    return run
+
+
 def cmd_check(args):
     state, params = _load(io.load_network, args.network, "network")
     failed = False
 
-    bundle = geometry.finite_differences(state)
+    try:
+        bundle = geometry.finite_differences(state)
+    except RegularityError as err:  # names the curve and the node
+        print(f"[FAIL] {err}")
+        return EXIT_INVALID
     report = wellposed.check_compat_order0(state, params, bundle=bundle)
     for rec in report.records:
         print(f"[{'ok ' if rec.passed else 'FAIL'}] {rec}")
@@ -75,25 +98,17 @@ def cmd_check(args):
     return EXIT_INVALID if failed else EXIT_OK
 
 
-def cmd_simulate(args):
-    state, params = _load(io.load_network, args.network, "network")
-    config = (SolverConfig() if args.config is None
-              else _load(io.load_config, args.config, "config"))
+@_run_command
+def cmd_simulate(args, state, params, config):
+    if args.svg:  # a network that cannot be drawn fails before any step
+        io.state_to_svg(state)
     records = []
 
     def observer(s):
         records.append(diagnostics.record_state(s, params))
 
-    preflight = "warn" if args.warn else "strict"
-    try:
-        trajectory = evolve(state, params, config,
-                            observers=(observer,), preflight=preflight)
-    except (ConfigurationError, NonCollinearError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except (StepError, RegularityError) as err:
-        print(f"breakdown: {err}", file=sys.stderr)
-        return EXIT_BREAKDOWN
+    trajectory = evolve(state, params, config, observers=(observer,),
+                        preflight="warn" if args.warn else "strict")
 
     # made only now, so that a rejected run leaves no empty directory
     os.makedirs(args.out, exist_ok=True)
@@ -127,27 +142,23 @@ def cmd_convergence(args):
     return EXIT_OK if result.order >= threshold else EXIT_INVALID
 
 
-def cmd_equivalence(args):
-    state, params = _load(io.load_network, args.network, "network")
-    config = (SolverConfig() if args.config is None
-              else _load(io.load_config, args.config, "config"))
+@_run_command
+def cmd_equivalence(args, state, params, config):
     # warn, not strict: constant-speed resampling carries interpolation
     # error, so the discrete endpoint stencils of the second run cannot
     # vanish to the strict preflight tolerance
-    try:
-        run_a = evolve(state, params, config, preflight="warn")
-        resampled = NetworkState(repar.const_speed_reparam(state)[0],
-                                 time=state.time)
-        run_b = evolve(resampled, params, config, preflight="warn")
-        certificate, _ = repar.geometric_equivalence(run_a, run_b, params.lam)
-    except (ConfigurationError, NonCollinearError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except (StepError, RegularityError, DiffeoBreakdownError) as err:
-        print(f"breakdown: {err}", file=sys.stderr)
-        return EXIT_BREAKDOWN
+    run_a = evolve(state, params, config, preflight="warn")
+    resampled = NetworkState(repar.const_speed_reparam(state)[0], time=state.time)
+    run_b = evolve(resampled, params, config, preflight="warn")
+    certificate, _ = repar.geometric_equivalence(run_a, run_b, params.lam)
     print(f"equivalence certificate: {certificate:.6e} (tolerance {args.tol:g})")
     return EXIT_OK if certificate <= args.tol else EXIT_INVALID
+
+
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,7 +192,7 @@ def build_parser():
                       help="downgrade compatibility failures to warnings "
                            "(collinear junction tangents stay fatal)")
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=_positive_int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("convergence", help="grid/step refinement study")

@@ -14,6 +14,8 @@ import numpy as np
 from . import geometry, wellposed
 
 MAX_CSV_SLICES = 200
+# step of the central difference in the first-variation check
+VARIATION_EPS = 1e-5
 # boundary_residuals key of each wellposed.order0_residuals entry
 RESIDUAL_NAMES = {"endpoint": "endpoint-pin", "second_derivative": "second-derivative",
                   "concurrency": "concurrency", "third_order_sum": "third-order-sum"}
@@ -42,8 +44,7 @@ def network_energy(state, params, bundle=None):
     return float(np.sum(_energies(bundle, params.lam, 1.0 / state.N)))
 
 
-def first_variation_check(curve, direction, functional="elastic", lam=0.0,
-                          eps=1e-5):
+def first_variation_check(curve, direction, functional="elastic", lam=0.0):
     """Analytic and finite-difference first variation along a direction.
 
     functional is "length" (L^2 gradient -kappa), "elastic" (bending
@@ -76,8 +77,8 @@ def first_variation_check(curve, direction, functional="elastic", lam=0.0,
         return lam_len * float(np.trapezoid(geometry.finite_differences(c).speed,
                                             dx=c.h))
 
-    numeric = (value(curve.nodes + eps * direction)
-               - value(curve.nodes - eps * direction)) / (2.0 * eps)
+    d = VARIATION_EPS * direction
+    numeric = (value(curve.nodes + d) - value(curve.nodes - d)) / (2.0 * VARIATION_EPS)
     return analytic, numeric
 
 
@@ -120,12 +121,12 @@ def holder_seminorm_time(values, times, rho):
     return _holder_quotient(values, times, rho / 4.0)
 
 
-def parabolic_norm(values, times, positions, rho, k=0, h=None):
+def parabolic_norm(values, times, positions, rho, k=0):
     """Parabolic Hoelder norm of a space-time sample, for k in {0, 1}.
 
     k = 0 uses sup |v| plus both seminorms of v; k = 1 adds the same
-    quantities for the first space derivative and the matching (1+rho)/4
-    time regularity of v itself.
+    quantities for the first space derivative (positions are uniform) and
+    the matching (1+rho)/4 time regularity of v itself.
     """
     if k not in (0, 1):
         raise ValueError("only the layers k = 0 and k = 1 are supported")
@@ -134,8 +135,7 @@ def parabolic_norm(values, times, positions, rho, k=0, h=None):
     total += holder_seminorm_space(v, positions, rho)
     total += holder_seminorm_time(v, times, rho)
     if k == 1:
-        if h is None:
-            h = float(positions[1] - positions[0])
+        h = float(positions[1] - positions[0])
         dv = np.stack([geometry.apply_derivative(s, 1, h) for s in v])
         total += float(np.max(np.abs(dv)))
         total += holder_seminorm_space(dv, positions, rho)

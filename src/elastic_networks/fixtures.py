@@ -8,10 +8,9 @@ from .solver import FlowParams, NetworkState
 DEFAULT_N = 96
 
 
-def _spokes(dirs, length, N):
-    # straight curves from the origin along the rows of dirs: (q, N+1, n)
-    x = np.linspace(0.0, 1.0, N + 1)
-    return (x * length)[:, None] * dirs[:, None, :]
+def _spokes(dirs, N):
+    # unit-speed straight curves from the origin to the rows of dirs: (q, N+1, n)
+    return np.linspace(0.0, 1.0, N + 1)[:, None] * dirs[:, None, :]
 
 
 def _bump_profile(N):
@@ -43,7 +42,7 @@ def _bump_profile(N):
     return g
 
 
-def triod_equilibrium(N=DEFAULT_N, length=1.0, lam=1.0):
+def triod_equilibrium(N=DEFAULT_N, lam=1.0):
     """Three straight unit-speed spokes at 120 degrees meeting at the origin.
 
     The spokes are flat and the tangents sum to zero, so with equal length
@@ -52,11 +51,11 @@ def triod_equilibrium(N=DEFAULT_N, length=1.0, lam=1.0):
     angles = np.array([np.pi / 2.0, np.pi / 2.0 + 2.0 * np.pi / 3.0,
                        np.pi / 2.0 + 4.0 * np.pi / 3.0])
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    params = FlowParams(endpoints=length * dirs, lam=np.full(3, float(lam)))
-    return NetworkState(_spokes(dirs, length, N)), params
+    params = FlowParams(endpoints=dirs, lam=np.full(3, float(lam)))
+    return NetworkState(_spokes(dirs, N)), params
 
 
-def triod_bent(N=DEFAULT_N, length=1.0, lam=1.0, amplitude=0.05):
+def triod_bent(N=DEFAULT_N, lam=1.0, amplitude=0.05):
     """The symmetric triod with each spoke bowed along its normal.
 
     The bump profile x^5 (1-x)^5 vanishes to fifth order at both ends, so
@@ -64,7 +63,7 @@ def triod_bent(N=DEFAULT_N, length=1.0, lam=1.0, amplitude=0.05):
     the perturbation exactly and the network is admissible initial data,
     but it is no longer stationary.
     """
-    state, params = triod_equilibrium(N=N, length=length, lam=lam)
+    state, params = triod_equilibrium(N=N, lam=lam)
     bump = _bump_profile(N)
     tangents = [t / np.linalg.norm(t) for t in state.nodes[:, -1] - state.nodes[:, 0]]
     normals = np.array([[-t[1], t[0]] for t in tangents])
@@ -72,7 +71,7 @@ def triod_bent(N=DEFAULT_N, length=1.0, lam=1.0, amplitude=0.05):
     return NetworkState(state.nodes + bow), params
 
 
-def triod_bent_skewed(N=DEFAULT_N, length=1.0, lam=1.0, amplitude=0.05, skew=0.4):
+def triod_bent_skewed(N=DEFAULT_N, lam=1.0, amplitude=0.05, skew=0.4):
     """The bent triod traced with a non-uniform parameter speed.
 
     Each spoke is the same geometric curve as in triod_bent, but sampled
@@ -96,24 +95,24 @@ def triod_bent_skewed(N=DEFAULT_N, length=1.0, lam=1.0, amplitude=0.05, skew=0.4
                        np.pi / 2.0 + 4.0 * np.pi / 3.0])
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
-    nodes = ((chi * length)[:, None] * dirs[:, None, :]
+    nodes = (chi[:, None] * dirs[:, None, :]
              + amplitude * bump_poly(chi)[:, None] * normals[:, None, :])
-    params = FlowParams(endpoints=length * dirs, lam=np.full(3, float(lam)))
+    params = FlowParams(endpoints=dirs, lam=np.full(3, float(lam)))
     return NetworkState(nodes), params
 
 
-def collinear_bad(N=DEFAULT_N, length=1.0, lam=1.0):
+def collinear_bad(N=DEFAULT_N, lam=1.0):
     """Two opposite straight spokes: the junction tangents are collinear.
 
     The tangential-speed system at the junction is singular for this
     network, so it must be rejected by the preflight checks.
     """
     dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    params = FlowParams(endpoints=length * dirs, lam=np.full(2, float(lam)))
-    return NetworkState(_spokes(dirs, length, N)), params
+    params = FlowParams(endpoints=dirs, lam=np.full(2, float(lam)))
+    return NetworkState(_spokes(dirs, N)), params
 
 
-def q4_spatial(N=DEFAULT_N, length=1.0, lam=1.0):
+def q4_spatial(N=DEFAULT_N, lam=1.0):
     """Four straight spokes toward tetrahedron vertices in R^3.
 
     The four unit tangents sum to zero, so this is again a steady state
@@ -125,8 +124,8 @@ def q4_spatial(N=DEFAULT_N, length=1.0, lam=1.0):
         [-1.0, 1.0, -1.0],
         [-1.0, -1.0, 1.0],
     ]) / np.sqrt(3.0)
-    params = FlowParams(endpoints=length * dirs, lam=np.full(4, float(lam)))
-    return NetworkState(_spokes(dirs, length, N)), params
+    params = FlowParams(endpoints=dirs, lam=np.full(4, float(lam)))
+    return NetworkState(_spokes(dirs, N)), params
 
 
 def single_clamped(N=DEFAULT_N, amplitude=0.05, lam=0.5):
@@ -143,8 +142,8 @@ def single_clamped(N=DEFAULT_N, amplitude=0.05, lam=0.5):
     return NetworkState(nodes[None]), params
 
 
-def circle(radius=1.0, N=256, turns=1.0, phase=0.0):
-    """A circular arc of the given radius sampled uniformly in angle."""
-    theta = phase + 2.0 * np.pi * turns * np.linspace(0.0, 1.0, N + 1)
+def circle(radius=1.0, N=256):
+    """A full circle of the given radius sampled uniformly in angle from (radius, 0)."""
+    theta = 2.0 * np.pi * np.linspace(0.0, 1.0, N + 1)
     nodes = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     return CurveSamples(nodes)

@@ -250,12 +250,10 @@ def _require_regular(speed):
     if speed.min() >= SPEED_FLOOR:
         return
     bad = int(np.flatnonzero(~(speed >= SPEED_FLOOR))[0])
-    curve, node = divmod(bad, speed.shape[-1])
-    raise RegularityError(
-        f"degenerate speed {speed.flat[bad]:.3e} at node {node}",
-        curve=curve if speed.ndim > 1 else None,
-        node=node,
-    )
+    curve, node = divmod(bad, speed.shape[-1]) if speed.ndim > 1 else (None, bad)
+    where = f"node {node}" if curve is None else f"node {node} of curve {curve}"
+    raise RegularityError(f"degenerate speed {speed.flat[bad]:.3e} at {where}",
+                          curve=curve, node=node)
 
 
 def _dots(a, b):

@@ -93,8 +93,7 @@ def save_config(path, config):
 def load_config(path):
     with open(path) as fh:
         data = json.load(fh)
-    known = {f for f in SolverConfig.__dataclass_fields__}
-    unknown = set(data) - known
+    unknown = set(data) - set(SolverConfig.__dataclass_fields__)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     return SolverConfig(**data)

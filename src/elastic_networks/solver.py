@@ -35,6 +35,14 @@ from .errors import (
 from .geometry import NetworkState, boundary_offsets, stencil_weights
 
 LINEAR_RESIDUAL_TOL = 1e-8
+PICARD_TOL = 1e-12
+PICARD_MAX = 60
+# accept a stalled iteration once the update is this small; on fine
+# grids the linear solves carry rounding noise that puts a floor on
+# the reachable fixed-point accuracy
+PICARD_FLOOR = 1e-7
+# the delta of uniform parabolicity: the least share of the initial margin
+GUARD_FACTOR = 0.5
 # t_end must be a whole number of steps to this relative precision
 END_TIME_TOL = 1e-9
 
@@ -67,28 +75,14 @@ class FlowParams:
 class SolverConfig:
     dt: float = 1e-6
     t_end: float = 1e-4
-    picard_tol: float = 1e-12
-    picard_max: int = 60
-    # accept a stalled iteration once the update is this small; on fine
-    # grids the linear solves carry rounding noise that puts a floor on
-    # the reachable fixed-point accuracy
-    picard_floor: float = 1e-7
-    delta_guard_factor: float = 0.5
     store_every: int = 1
 
     def __post_init__(self):
-        floats = (self.dt, self.t_end, self.picard_tol, self.picard_floor,
-                  self.delta_guard_factor)
-        if not all(math.isfinite(v) for v in floats):
-            raise ConfigurationError("dt, t_end, picard_tol, picard_floor and "
-                                     "delta_guard_factor must be finite")
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.picard_max, self.store_every)):
-            raise ConfigurationError("picard_max and store_every must be integers")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ConfigurationError("dt and t_end must be positive")
-        if self.picard_max < 1 or self.store_every < 1:
-            raise ConfigurationError("picard_max and store_every must be >= 1")
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ConfigurationError("dt and t_end must be positive and finite")
+        if (not isinstance(self.store_every, numbers.Integral)
+                or isinstance(self.store_every, bool) or self.store_every < 1):
+            raise ConfigurationError("store_every must be an integer >= 1")
         if not math.isfinite(self.t_end / self.dt):
             raise ConfigurationError("the step count t_end / dt overflows")
         if abs(self.num_steps * self.dt - self.t_end) > END_TIME_TOL * self.t_end:
@@ -292,15 +286,15 @@ def picard_step(state, params, config, *, bundle=None, time=None):
         rhs[0, 0] = base[0, 0]
     current, current_bundle = state, bundle
     previous_change = np.inf
-    for _ in range(config.picard_max):
+    for _ in range(PICARD_MAX):
         _step_rhs(rhs, current_bundle, base_dt, d_pow4, e_matrices, params)
         new = NetworkState(_solve(matrix, lu, perm_c, rhs, time), time=time)
         change = float(np.max(np.abs(new.nodes - current.nodes)))
         current = new
         # stop at the tolerance, or once contraction has hit the rounding
         # floor of the linear solver
-        if change <= config.picard_tol or (change <= config.picard_floor
-                                           and change > 0.5 * previous_change):
+        if change <= PICARD_TOL or (change <= PICARD_FLOOR
+                                    and change > 0.5 * previous_change):
             return current
         previous_change = change
         current_bundle = geometry.finite_differences(current)
@@ -309,20 +303,19 @@ def picard_step(state, params, config, *, bundle=None, time=None):
     )
 
 
-def regularity_guard(state, bundle, initial_margin, config):
-    """Raise once uniform parabolicity degrades past the configured factor.
+def regularity_guard(state, bundle, initial_margin):
+    """Raise once uniform parabolicity degrades past GUARD_FACTOR.
 
     bundle is state's stacked bundle; only its speeds are read.
     """
     margin = wellposed.parabolicity_margin(bundle.speed)
-    if margin < config.delta_guard_factor * initial_margin:
+    if margin < GUARD_FACTOR * initial_margin:
         raise RegularityError(
             f"parabolicity margin {margin:.6e} fell to "
             f"{margin / initial_margin:.6f} of its initial value "
-            f"{initial_margin:.6e}, below the factor {config.delta_guard_factor}",
+            f"{initial_margin:.6e}, below the factor {GUARD_FACTOR}",
             time=state.time,
         )
-    return margin
 
 
 def evolve(state, params, config, observers=(), preflight="strict"):
@@ -363,7 +356,7 @@ def evolve(state, params, config, observers=(), preflight="strict"):
             # the accepted state's one bundle: the guard reads its speeds
             # and the next step starts from it
             bundle = geometry.finite_differences(state)
-            regularity_guard(state, bundle, initial_margin, config)
+            regularity_guard(state, bundle, initial_margin)
             if (step + 1) % config.store_every == 0 or step == num_steps - 1:
                 trajectory.append(state)
             for obs in observers:

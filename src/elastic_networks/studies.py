@@ -1,8 +1,9 @@
 """Grid- and step-refinement studies of the time stepper.
 
-Both studies run the clamped single-curve problem, whose data satisfies
-the discrete boundary conditions exactly, and compare refined runs
-against a much finer reference run at the final time.
+Both studies run the clamped single-curve problem (fixtures.single_clamped
+at its default bump and penalty), whose data satisfies the discrete
+boundary conditions exactly, and compare refined runs against a much
+finer reference run at the final time.
 """
 
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ class StudyResult:
         return min(self.rates)
 
 
-def _final_state(N, dt, t_end, amplitude, lam):
-    state, params = fixtures.single_clamped(N=N, amplitude=amplitude, lam=lam)
+def _final_state(N, dt, t_end):
+    state, params = fixtures.single_clamped(N=N)
     config = SolverConfig(dt=dt, t_end=t_end, store_every=10**9)
     return evolve(state, params, config, preflight="strict")[-1]
 
@@ -52,20 +53,17 @@ def _study(levels, final_state, reference):
     return StudyResult(levels=tuple(levels), errors=tuple(errors), rates=tuple(rates))
 
 
-def spatial_convergence(Ns=(32, 64, 128), N_ref=256, dt=2.5e-8, t_end=1e-6,
-                        amplitude=0.05, lam=0.5):
+def spatial_convergence(Ns=(32, 64, 128), N_ref=256, dt=2.5e-8, t_end=1e-6):
     """Refine the grid at a fixed tiny time step."""
     for N in Ns:
         if N_ref % N:
             raise ValueError("reference grid must refine every study grid")
-    reference = _final_state(N_ref, dt, t_end, amplitude, lam)
-    return _study(Ns, lambda N: _final_state(N, dt, t_end, amplitude, lam),
-                  reference)
+    reference = _final_state(N_ref, dt, t_end)
+    return _study(Ns, lambda N: _final_state(N, dt, t_end), reference)
 
 
 def temporal_convergence(dts=(4e-6, 2e-6, 1e-6), dt_ref=1.25e-7, N=48,
-                         t_end=4e-5, amplitude=0.05, lam=0.5):
+                         t_end=4e-5):
     """Refine the time step on a fixed grid."""
-    reference = _final_state(N, dt_ref, t_end, amplitude, lam)
-    return _study(dts, lambda dt: _final_state(N, dt, t_end, amplitude, lam),
-                  reference)
+    reference = _final_state(N, dt_ref, t_end)
+    return _study(dts, lambda dt: _final_state(N, dt, t_end), reference)

@@ -98,7 +98,7 @@ def _report(rows):
                          for c, i, end, r, t in rows])
 
 
-def check_compat_order0(network, params, tol=DEFAULT_TOL, bundle=None):
+def check_compat_order0(network, params, bundle=None):
     """Residuals of the order-zero compatibility conditions.
 
     Those of order0_residuals, f''''/|f'|^4 at the outer ends (both ends
@@ -116,30 +116,30 @@ def check_compat_order0(network, params, tol=DEFAULT_TOL, bundle=None):
     floors4 = 100.0 * np.finfo(float).eps * peaks / h**4
     speed4 = junction.powers(bundle.speed[:, [0, -1]], 4)
     r4 = _norms(bundle.d4[:, [0, -1]]) / speed4
-    tol4 = tol * (1.0 + r4) + floors4[:, None] / speed4
+    tol4 = DEFAULT_TOL * (1.0 + r4) + floors4[:, None] / speed4
 
     rows = []
     for i in range(q):
-        rows.append(("endpoint-pin", i, 1, res["endpoint-pin"][i], tol))
+        rows.append(("endpoint-pin", i, 1, res["endpoint-pin"][i], DEFAULT_TOL))
         rows += [("second-derivative", i, end, res["second-derivative"][i, end],
-                  tol * scale2[i]) for end in (0, 1)]
+                  DEFAULT_TOL * scale2[i]) for end in (0, 1)]
         rows += [("fourth-derivative", i, end, r4[i, end], tol4[i, end])
                  for end in ((1, 0) if q == 1 else (1,))]
     if q >= 2:
-        rows += [("concurrency", i, 0, r, tol)
+        rows += [("concurrency", i, 0, r, DEFAULT_TOL)
                  for i, r in enumerate(res["concurrency"], start=1)]
-        rows.append(("third-order-sum", -1, 0, res["third-order-sum"], tol * q))
+        rows.append(("third-order-sum", -1, 0, res["third-order-sum"], DEFAULT_TOL * q))
         accel = bundle.d4[:, 0] / speed4[:, :1]
         floors = floors4 / speed4[:, 0]
         sizes = _norms(accel)
         rows += [(f"fourth-derivative-match[{i},{j}]", i, 0,
                   _norms(accel[i] - accel[j]),
-                  tol * (1.0 + max(sizes[i], sizes[j])) + floors[i] + floors[j])
+                  DEFAULT_TOL * (1.0 + max(sizes[i], sizes[j])) + floors[i] + floors[j])
                  for i, j in zip(*np.triu_indices(q, k=1))]
     return _report(rows)
 
 
-def check_compat_order1(network, params, tol=DEFAULT_TOL):
+def check_compat_order1(network, params):
     """First time-derivative compatibility layers.
 
     Checks d_x^2 of the parabolic right-hand side at both ends of each
@@ -147,7 +147,7 @@ def check_compat_order1(network, params, tol=DEFAULT_TOL):
     with the time derivative replaced by the right-hand side itself.
     """
     bundle = geometry.finite_differences(network)
-    order0 = check_compat_order0(network, params, tol, bundle=bundle)
+    order0 = check_compat_order0(network, params, bundle=bundle)
     rows = [("order0-prerequisite", -1, -1, 0.0 if order0.passed else 1.0, 0.5)]
     nodes = network.nodes
     q, h = network.q, 1.0 / network.N
@@ -160,7 +160,8 @@ def check_compat_order1(network, params, tol=DEFAULT_TOL):
     # the velocity already carries ~eps_mach/h^4 stencil rounding noise,
     # which the second derivative amplifies by a further 1/h^2
     floors = 100.0 * np.finfo(float).eps * peaks / h**6
-    tols = tol * (1.0 + np.max(np.linalg.norm(velocities, axis=-1), axis=1)) + floors
+    tols = (DEFAULT_TOL * (1.0 + np.max(np.linalg.norm(velocities, axis=-1), axis=1))
+            + floors)
     rows += [("second-derivative-of-velocity", i, end, ends[end, i], tols[i])
              for i in range(q) for end in (0, 1)]
 
@@ -175,7 +176,7 @@ def check_compat_order1(network, params, tol=DEFAULT_TOL):
         # of the third-derivative stencils by 1/RATE_EPS
         floor = 100.0 * np.finfo(float).eps * float(np.max(peaks)) / h**3 / RATE_EPS
         rows.append(("third-order-sum-rate", -1, 0, np.linalg.norm(dt_sum),
-                     tol * q / RATE_EPS * 1e-2 + floor))
+                     DEFAULT_TOL * q / RATE_EPS * 1e-2 + floor))
     return _report(rows)
 
 

@@ -155,13 +155,10 @@ def test_config_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("fields", [
     {"dt": float("nan")}, {"dt": float("inf")}, {"t_end": float("inf")},
-    {"picard_tol": float("nan")}, {"picard_floor": float("inf")},
-    {"delta_guard_factor": float("nan")}, {"picard_max": 1.5},
-    {"store_every": 2.5}, {"store_every": True}, {"dt": "abc"}, {"picard_max": None},
-    {"dt": 1e-300, "t_end": 1e10},
-], ids=["dt-nan", "dt-inf", "t_end-inf", "picard_tol-nan", "picard_floor-inf",
-        "delta_guard_factor-nan", "picard_max-float", "store_every-float",
-        "store_every-bool", "dt-string", "picard_max-null", "step-count-overflow"])
+    {"picard_tol": 1e-12}, {"store_every": 2.5}, {"store_every": True},
+    {"dt": "abc"}, {"dt": 1e-300, "t_end": 1e10},
+], ids=["dt-nan", "dt-inf", "t_end-inf", "unknown-key", "store_every-float",
+        "store_every-bool", "dt-string", "step-count-overflow"])
 def test_invalid_config_values_are_rejected(tmp_path, capsys, fields):
     net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
     path = str(tmp_path / "config.json")
@@ -175,6 +172,10 @@ def test_invalid_config_values_are_rejected(tmp_path, capsys, fields):
     assert "invalid config file" in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
+    # a key that is no SolverConfig field, such as a setting that became a
+    # solver constant, is named
+    for key in set(fields) - set(SolverConfig.__dataclass_fields__):
+        assert f"unknown config keys: [{key!r}]" in err
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -220,6 +221,21 @@ def test_check_rejects_collinear_network(tmp_path, capsys):
     assert "(NC)" in out
 
 
+def test_check_fails_a_zero_speed_network_naming_curve_and_node(tmp_path, capsys):
+    state, params = fixtures.triod_bent(N=32)
+    nodes = state.nodes.copy()
+    nodes[1, 4:9] = nodes[1, 4]  # curve 1 rests on one point over nodes 4-8
+    path = _write_network(tmp_path, "net.json", (NetworkState(nodes), params))
+    code = cli.main(["check", "--network", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID
+    assert "Traceback" not in captured.err
+    fail = [line for line in captured.out.splitlines() if line.startswith("[FAIL]")]
+    assert len(fail) == 1
+    assert fail[0].startswith("[FAIL] degenerate speed 0.000e+00 at node ")
+    assert fail[0].endswith(" of curve 1")
+
+
 def test_check_missing_file_is_io_error(tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["check", "--network", str(tmp_path / "missing.json")])
@@ -255,6 +271,30 @@ def test_simulate_writes_outputs(tmp_path):
     assert len(frames) == 6  # initial frame plus five steps
 
 
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_simulate_rejects_a_stride_below_one_before_stepping(tmp_path, capsys, stride):
+    net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
+    out = str(tmp_path / "run")
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["simulate", "--network", net, "--out", out, "--svg",
+                  "--stride", stride])
+    assert exc_info.value.code == cli.EXIT_IO
+    assert "--stride" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_simulate_rejects_svg_of_a_spatial_network_before_stepping(tmp_path, capsys):
+    net = _write_network(tmp_path, "net.json", fixtures.q4_spatial(N=32))
+    config = _write_config(tmp_path, dt=1e-5, t_end=3e-5)
+    out = str(tmp_path / "run")
+    code = cli.main(["simulate", "--network", net, "--config", config,
+                     "--out", out, "--svg"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INVALID
+    assert "error: SVG output needs a planar network" in err
+    assert not os.path.exists(out)
+
+
 def test_simulate_strict_rejects_collinear_before_stepping(tmp_path, capsys):
     net = _write_network(tmp_path, "net.json", fixtures.collinear_bad(N=48))
     out = str(tmp_path / "run")
@@ -266,10 +306,14 @@ def test_simulate_strict_rejects_collinear_before_stepping(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
-def test_simulate_breakdown_exit_code(tmp_path):
+def test_simulate_breakdown_exit_code(tmp_path, monkeypatch):
+    from elastic_networks import solver
+    # a single Picard iterate with an unreachable tolerance fails the step
+    monkeypatch.setattr(solver, "PICARD_MAX", 1)
+    monkeypatch.setattr(solver, "PICARD_TOL", 1e-16)
+    monkeypatch.setattr(solver, "PICARD_FLOOR", 1e-16)
     net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=48))
-    config = _write_config(tmp_path, dt=1e-5, t_end=5e-5, picard_max=1,
-                           picard_tol=1e-16, picard_floor=1e-16)
+    config = _write_config(tmp_path, dt=1e-5, t_end=5e-5)
     out = str(tmp_path / "run")
     code = cli.main(["simulate", "--network", net, "--config", config,
                      "--out", out])

@@ -133,6 +133,7 @@ def test_nan_node_is_a_regularity_error_naming_curve_and_node():
         geometry.finite_differences(geometry.NetworkState(nodes))
     # node 4 is the first node whose centered first-derivative stencil reads it
     assert (exc_info.value.curve, exc_info.value.node) == (1, 4)
+    assert str(exc_info.value) == "degenerate speed nan at node 4 of curve 1"
 
 
 def _exact_bundle_and_oracle():

@@ -150,11 +150,12 @@ def test_singular_step_is_a_step_error():
     assert exc_info.value.time == 1e-6
 
 
-def test_guard_trip_is_a_regularity_error_with_time_and_partial_trajectory():
+def test_guard_trip_is_a_regularity_error_with_time_and_partial_trajectory(monkeypatch):
     # the strongly skewed triod loses over 2 % of its parabolicity margin
     # in its second step
+    monkeypatch.setattr(solver, "GUARD_FACTOR", 0.98)
     state, params = fixtures.triod_bent_skewed(N=64, skew=0.8)
-    config = SolverConfig(dt=5e-6, t_end=1e-4, delta_guard_factor=0.98)
+    config = SolverConfig(dt=5e-6, t_end=1e-4)
     with pytest.warns(UserWarning, match="incompatible initial network"):
         with pytest.raises(RegularityError, match="parabolicity margin") as exc_info:
             solver.evolve(state, params, config, preflight="warn")
@@ -199,12 +200,14 @@ def test_preflight_rejects_incompatible_data_and_warn_proceeds():
         solver.evolve(bad, params, config, preflight="nonsense")
 
 
-def test_step_error_carries_partial_trajectory():
+def test_step_error_carries_partial_trajectory(monkeypatch):
     # a single Picard iterate with an unreachable tolerance fails mid-run
     # and must hand back the frames computed so far
+    monkeypatch.setattr(solver, "PICARD_MAX", 1)
+    monkeypatch.setattr(solver, "PICARD_TOL", 1e-16)
+    monkeypatch.setattr(solver, "PICARD_FLOOR", 1e-16)
     state, params = fixtures.triod_bent(N=48)
-    config = SolverConfig(dt=1e-5, t_end=1e-3, picard_max=1,
-                          picard_tol=1e-16, picard_floor=1e-16)
+    config = SolverConfig(dt=1e-5, t_end=1e-3)
     with pytest.raises(StepError) as exc_info:
         solver.evolve(state, params, config)
     err = exc_info.value

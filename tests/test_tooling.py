@@ -1,18 +1,22 @@
-"""The benchmark loads the package's names: its traced run wraps package
-functions by name, and its workloads import and call them."""
+"""The benchmark and the demos load the package's names: the traced run
+wraps package functions by name, and the workloads and demos import and
+call them.  The demos are read, not run."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 
 from elastic_networks import repar
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 WORKLOADS = PERFBENCH / "workloads.py"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _load(path):
@@ -61,3 +65,68 @@ def test_certificate_per_curve_resampling_equals_the_network_call():
             time=state.time,
         )
         assert np.array_equal(per_curve.nodes, repar.const_speed_reparam(state)[0])
+
+
+def _package_uses(path):
+    """(line, name, object, keywords) for each name path imports from
+    elastic_networks, each attribute it reads from an imported package
+    module and each call of either.  object is None where the package no
+    longer has the name; keywords are a call's keyword names, else ()."""
+    tree = ast.parse(path.read_text())
+    names = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "elastic_networks"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                try:
+                    value = importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:  # not a submodule
+                    value = getattr(module, alias.name, None)
+                names[alias.asname or alias.name] = value
+                yield node.lineno, f"{node.module}.{alias.name}", value, ()
+
+    def resolve(node):
+        if isinstance(node, ast.Name) and node.id in names:
+            return node.id, names[node.id]
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and inspect.ismodule(names.get(node.value.id))):
+            module = names[node.value.id]
+            return f"{node.value.id}.{node.attr}", getattr(module, node.attr, None)
+        return None
+
+    for node in ast.walk(tree):
+        is_call = isinstance(node, ast.Call)
+        found = resolve(node.func if is_call else node)
+        if found:
+            keywords = [k.arg for k in node.keywords if k.arg] if is_call else ()
+            yield node.lineno, *found, keywords
+
+
+def _accepts(function, keyword):
+    parameters = inspect.signature(function).parameters
+    kind = getattr(parameters.get(keyword), "kind", None)
+    return (kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                     inspect.Parameter.KEYWORD_ONLY)
+            or any(p.kind is inspect.Parameter.VAR_KEYWORD
+                   for p in parameters.values()))
+
+
+def test_every_package_name_a_demo_uses_exists():
+    # a demo breaks only when someone runs it, so it is read instead
+    missing = [f"{path.name}:{line}: {name}" for path in DEMOS
+               for line, name, value, _ in _package_uses(path) if value is None]
+    assert DEMOS
+    assert missing == []
+
+
+def test_every_keyword_passed_to_a_package_function_is_accepted():
+    # a keyword that a signature lost is a TypeError only once the call runs
+    calls = [(path.name, *use) for path in [WORKLOADS] + DEMOS
+             for use in _package_uses(path) if use[3]]
+    rejected = [f"{name}:{line}: {callee}({keyword}=...)"
+                for name, line, callee, function, keywords in calls
+                if callable(function)
+                for keyword in keywords if not _accepts(function, keyword)]
+    assert calls
+    assert rejected == []
