@@ -155,10 +155,14 @@ def test_config_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("fields", [
     {"dt": float("nan")}, {"dt": float("inf")}, {"t_end": float("inf")},
-    {"picard_tol": 1e-12}, {"store_every": 2.5}, {"store_every": True},
-    {"dt": "abc"}, {"dt": 1e-300, "t_end": 1e10},
-], ids=["dt-nan", "dt-inf", "t_end-inf", "unknown-key", "store_every-float",
-        "store_every-bool", "dt-string", "step-count-overflow"])
+    {"picard_tol": float("nan")}, {"picard_floor": float("inf")},
+    {"delta_guard_factor": float("nan")}, {"picard_max": 1.5},
+    {"store_every": 2.5}, {"store_every": True}, {"dt": "abc"}, {"picard_max": None},
+    {"dt": 1e-300, "t_end": 1e10}, {"picard_tol": 1e-12},
+], ids=["dt-nan", "dt-inf", "t_end-inf", "picard_tol-nan", "picard_floor-inf",
+        "delta_guard_factor-nan", "picard_max-float", "store_every-float",
+        "store_every-bool", "dt-string", "picard_max-null", "step-count-overflow",
+        "unknown-key"])
 def test_invalid_config_values_are_rejected(tmp_path, capsys, fields):
     net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
     path = str(tmp_path / "config.json")
