@@ -6,10 +6,8 @@ when one is the other composed with a family of diffeomorphisms of
 of the tangential speeds; integrating that ODE numerically and measuring
 the residual mismatch gives a certificate of geometric equivalence.
 
-Importing this module loads no part of SciPy, so that runs which never
-reparametrize do not pay for it: the cumulative arclength is summed with
-NumPy, and inverse_map, the one PCHIP evaluation, imports scipy.interpolate
-(with scipy.optimize, scipy.special and scipy.spatial) on its first call.
+The cumulative arclength and the monotone cubic that inverts it are
+written with NumPy alone, so reparametrizing loads no part of SciPy.
 """
 
 import math
@@ -68,31 +66,78 @@ def arclength_map(speed, h):
 
     The trapezoids are summed exactly as scipy.integrate.cumulative_trapezoid
     forms them, so each map matches it bit for bit.  Raises
-    DiffeoBreakdownError if a map is not strictly increasing.
+    DiffeoBreakdownError if a map is not strictly increasing, which a
+    non-finite speed (NaN or inf) also makes it.
     """
-    arc = np.cumsum(h * (speed[..., 1:] + speed[..., :-1]) / 2.0, axis=-1)
-    # values end at arc / arc, which is exactly 1
-    values = np.zeros(speed.shape)
-    values[..., 1:] = arc / arc[..., -1:]
-    if np.any(np.diff(values, axis=-1) <= 0):
+    with np.errstate(all="ignore"):  # a non-finite speed fails below
+        arc = np.cumsum(h * (speed[..., 1:] + speed[..., :-1]) / 2.0, axis=-1)
+        # values end at arc / arc, which is exactly 1
+        values = np.zeros(speed.shape)
+        values[..., 1:] = arc / arc[..., -1:]
+    if not np.all(np.diff(values, axis=-1) > 0):
         raise DiffeoBreakdownError("sampled map is not strictly increasing")
     return values
+
+
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end, clamped to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0,
+                    np.where(overshoot, 3.0 * m0, d))
+
+
+def _monotone_cubic(x, y, at):
+    """Monotone cubic (PCHIP) interpolants through rows (x, y), evaluated at.
+
+    x (..., K) holds strictly increasing rows, y (K,) or (..., K) their
+    values and at (..., M) each row's points; points outside a row
+    extrapolate with its end pieces.  The slopes are Fritsch-Carlson's
+    weighted harmonic means with the one-sided ends of Moler's pchiptx,
+    and the pieces are formed and evaluated in the power basis with the
+    operations of SciPy's PchipInterpolator, so the values equal it bit
+    for bit.
+    """
+    h = np.diff(x, axis=-1)
+    m = np.diff(y, axis=-1) / h
+    if h.shape[-1] == 1:  # two points: the line
+        d = np.concatenate((m, m), axis=-1)
+    else:
+        m0, m1 = m[..., :-1], m[..., 1:]
+        w1, w2 = 2 * h[..., 1:] + h[..., :-1], h[..., 1:] + 2 * h[..., :-1]
+        # 0 at a sign change or a flat piece, where the mean is not used
+        extremum = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(extremum, 0.0, 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+        first = _end_slope(h[..., 0], h[..., 1], m[..., 0], m[..., 1])
+        last = _end_slope(h[..., -1], h[..., -2], m[..., -1], m[..., -2])
+        d = np.concatenate((first[..., None], inner, last[..., None]), axis=-1)
+    t = (d[..., :-1] + d[..., 1:] - 2 * m) / h
+    coeffs = np.broadcast_arrays(t / h, (m - d[..., :-1]) / h - t,
+                                 d[..., :-1], y[..., :-1], x[..., :-1])
+    # the piece of each point: row[k] <= point < row[k + 1], ends extended
+    K, M = x.shape[-1], at.shape[-1]
+    piece = np.reshape([np.searchsorted(row, points, "right") for row, points
+                        in zip(x.reshape(-1, K), at.reshape(-1, M))], at.shape)
+    piece = np.clip(piece - 1, 0, K - 2)
+    c0, c1, c2, c3, start = (np.take_along_axis(c, piece, axis=-1) for c in coeffs)
+    s = at - start
+    return ((c3 + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s)
 
 
 def inverse_map(values, at):
     """Inverses of maps (..., N+1) on the uniform grid, evaluated at (..., M).
 
     at may also be (M,), the same points for every map.  Each map is
-    inverted by the monotone cubic (PCHIP) interpolant through (values,
-    grid); the results are clipped to [0, 1] with both ends pinned.
+    inverted by the monotone cubic interpolant through (values, grid); the
+    results are clipped to [0, 1] with both ends pinned.  Raises
+    DiffeoBreakdownError if a map is not finite and strictly increasing.
     """
-    from scipy.interpolate import PchipInterpolator
-
+    if not (np.all(np.diff(values, axis=-1) > 0) and np.all(np.isfinite(values))):
+        raise DiffeoBreakdownError("map to invert is not strictly increasing and finite")
     at = np.broadcast_to(at, values.shape[:-1] + np.shape(at)[-1:])
     grid = np.linspace(0.0, 1.0, values.shape[-1])
-    rows = [PchipInterpolator(row, grid)(y) for row, y in
-            zip(values.reshape(-1, grid.size), at.reshape(-1, at.shape[-1]))]
-    out = np.clip(np.reshape(rows, at.shape), 0.0, 1.0)
+    out = np.clip(_monotone_cubic(values, grid, at), 0.0, 1.0)
     out[..., 0], out[..., -1] = 0.0, 1.0
     return out
 

@@ -322,14 +322,19 @@ def evolve(state, params, config, observers=(), preflight="strict"):
     """Run the flow from state for a time t_end; returns the stored trajectory.
 
     preflight is "strict" (reject incompatible data) or "warn" (only warn
-    about incompatible data; collinear junction tangents stay fatal).
+    about incompatible data; collinear junction tangents stay fatal).  An
+    initial network with a vanishing speed is rejected either way, with a
+    ConfigurationError naming the curve and the node.
     On a mid-run failure the raised exception carries the trajectory
     computed so far in its .trajectory attribute and the time of the
     failing step in .time.
     """
     if preflight not in ("strict", "warn"):
         raise ConfigurationError("preflight must be strict or warn")
-    bundle = geometry.finite_differences(state)
+    try:
+        bundle = geometry.finite_differences(state)
+    except RegularityError as err:  # invalid input, not a breakdown
+        raise ConfigurationError(f"initial network is not regular: {err}") from err
     if state.q >= 2 and junction.span_dimension(junction.tangents(bundle)) < 2:
         raise NonCollinearError("non-collinearity condition (NC) violated: "
                                 "the junction tangents are collinear")

@@ -240,6 +240,26 @@ def test_check_fails_a_zero_speed_network_naming_curve_and_node(tmp_path, capsys
     assert fail[0].endswith(" of curve 1")
 
 
+@pytest.mark.parametrize("command", ["simulate", "equivalence"])
+def test_run_commands_reject_a_zero_speed_network_as_invalid(tmp_path, capsys, command):
+    # the initial network is the input: a vanishing speed there is invalid
+    # input (exit 1), as check has it, not a runtime breakdown (exit 2)
+    state, params = fixtures.triod_bent(N=32)
+    nodes = state.nodes.copy()
+    nodes[1, 4:9] = nodes[1, 4]
+    path = _write_network(tmp_path, "net.json", (NetworkState(nodes), params))
+    out = tmp_path / "run"
+    argv = [command, "--network", path] + (
+        ["--out", str(out)] if command == "simulate" else [])
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INVALID
+    assert err.startswith("error: initial network is not regular: degenerate speed "
+                          "0.000e+00 at node ")
+    assert err.rstrip().endswith(" of curve 1")
+    assert not out.exists()
+
+
 def test_check_missing_file_is_io_error(tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["check", "--network", str(tmp_path / "missing.json")])

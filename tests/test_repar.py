@@ -21,6 +21,31 @@ def test_arclength_map_rejects_a_zero_speed_stretch():
     assert np.all(np.diff(repar.arclength_map(speed[0], 1.0 / 16)) > 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_arclength_map_rejects_a_non_finite_speed(bad):
+    # a NaN speed would give an all-NaN map, an inf one an inf / inf; both
+    # fail as a map that is not strictly increasing, with no RuntimeWarning
+    speed = np.ones((3, 17))
+    speed[2, 6] = bad
+    with pytest.raises(DiffeoBreakdownError, match="not strictly increasing"):
+        repar.arclength_map(speed, 1.0 / 16)
+
+
+@pytest.mark.parametrize("row", [
+    np.linspace(1.0, 0.0, 17),
+    np.r_[np.linspace(0.0, 0.5, 8), np.linspace(0.5, 1.0, 9)],
+    np.r_[np.linspace(0.0, 1.0, 16), np.nan],
+    np.r_[np.linspace(0.0, 1.0, 16), np.inf],
+], ids=["decreasing", "flat", "nan", "inf"])
+def test_inverse_map_rejects_a_map_not_strictly_increasing(row):
+    grid = np.linspace(0.0, 1.0, 17)
+    with pytest.raises(DiffeoBreakdownError, match="not strictly increasing"):
+        repar.inverse_map(row, grid)
+    # one bad row fails the whole stack
+    with pytest.raises(DiffeoBreakdownError, match="not strictly increasing"):
+        repar.inverse_map(np.stack([grid, row]), grid)
+
+
 def test_inverse_map_round_trip():
     # phi(x) = (x + x^2)/2 sampled on 17 nodes, inverted at phi(x)
     grid = np.linspace(0.0, 1.0, 17)
@@ -34,6 +59,96 @@ def test_inverse_map_round_trip():
     shared = repar.inverse_map(np.stack([grid, grid]), x)
     assert np.allclose(shared, x, atol=1e-15)
     assert shared[:, 0].tolist() == [0.0, 0.0] and shared[:, -1].tolist() == [1.0, 1.0]
+
+
+# --- the monotone cubic against scipy.interpolate.PchipInterpolator -------
+
+
+def _pchip_oracle(x, y, at):
+    """SciPy's PCHIP interpolant of each row (x, y), at each row's points."""
+    from scipy.interpolate import PchipInterpolator
+
+    x, y = np.broadcast_arrays(x, y)
+    at = np.broadcast_to(at, x.shape[:-1] + np.shape(at)[-1:])
+    return np.reshape([PchipInterpolator(*row)(points) for *row, points in zip(
+        x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]),
+        at.reshape(-1, at.shape[-1]))], at.shape)
+
+
+def _inverse_oracle(values, at):
+    """inverse_map's contract with SciPy's PCHIP: clipped, ends pinned."""
+    grid = np.linspace(0.0, 1.0, values.shape[-1])
+    out = np.clip(_pchip_oracle(values, grid, at), 0.0, 1.0)
+    out[..., 0], out[..., -1] = 0.0, 1.0
+    return out
+
+
+def test_monotone_cubic_two_points_is_the_line():
+    x, y = np.array([0.2, 0.9]), np.array([-1.0, 3.0])
+    at = np.array([0.0, 0.2, 0.31, 0.55, 0.9, 1.3])
+    assert np.array_equal(repar._monotone_cubic(x, y, at), _pchip_oracle(x, y, at))
+    assert np.array_equal(repar.inverse_map(np.array([0.0, 1.0]), at),
+                          _inverse_oracle(np.array([0.0, 1.0]), at))
+
+
+def test_monotone_cubic_at_its_breakpoints_and_beyond_its_ends():
+    x = np.array([0.0, 0.05, 0.3, 0.35, 0.8, 1.0])
+    rows = {"increasing": x + 0.4 * x**2, "peaked": np.sin(3.0 * x),
+            "flat piece": np.array([0.0, 0.2, 0.2, 0.5, 0.6, 0.6])}
+    for y in rows.values():
+        for at in (x, np.array([-0.1, -0.01, 1.01, 1.1])):
+            assert np.array_equal(repar._monotone_cubic(x, y, at), _pchip_oracle(x, y, at))
+    # the inverse at the map's own breakpoints
+    values = rows["increasing"] / rows["increasing"][-1]
+    assert np.array_equal(repar.inverse_map(values, values), _inverse_oracle(values, values))
+
+
+def test_monotone_cubic_stacked_rows_equal_scipy_per_row():
+    rng = np.random.default_rng(7)
+    values = np.cumsum(rng.uniform(0.1, 1.0, (2, 3, 12)), axis=-1)
+    values = (values - values[..., :1]) / (values[..., -1:] - values[..., :1])
+    own = rng.uniform(-0.1, 1.1, (2, 3, 40))
+    shared = np.linspace(-0.1, 1.1, 25)
+    grid = np.linspace(0.0, 1.0, 12)
+    assert np.array_equal(repar._monotone_cubic(values, grid, own),
+                          _pchip_oracle(values, grid, own))
+    assert np.array_equal(repar.inverse_map(values, own), _inverse_oracle(values, own))
+    assert np.array_equal(repar.inverse_map(values, shared),
+                          _inverse_oracle(values, shared))
+
+
+@pytest.mark.parametrize("N, skew", [(16, 0.1), (64, 0.5), (1000, 0.8)])
+def test_monotone_cubic_inverts_skewed_arclength_maps_as_scipy_does(N, skew):
+    state, _ = fixtures.triod_bent_skewed(N=N, skew=skew)
+    phi = repar.arclength_map(geometry.finite_differences(state).speed, 1.0 / N)
+    grid = np.broadcast_to(np.linspace(0.0, 1.0, N + 1), phi.shape)
+    at = np.concatenate([grid, phi, np.linspace(-0.1, 1.1, 3 * N)[None].repeat(3, 0)],
+                        axis=-1)
+    # the arclength map inverted, and the map itself through its inverse
+    for x, y in ((phi, grid), (grid, phi)):
+        assert np.array_equal(repar._monotone_cubic(x, y, at), _pchip_oracle(x, y, at))
+    assert np.array_equal(repar.inverse_map(phi, grid), _inverse_oracle(phi, grid))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 3), K=st.integers(2, 30), M=st.integers(1, 30),
+       shape=st.sampled_from(["monotone", "random", "steps"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_monotone_cubic_equals_scipy_pchip_bit_for_bit(rows, K, M, shape, seed):
+    # strictly increasing x with uneven gaps; y rising, arbitrary or with
+    # flat pieces, so every slope case and both end clamps are reached
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.0, 1.0, (rows, K)) ** 3 + 1e-3, axis=-1)
+    if shape == "monotone":
+        y = np.cumsum(rng.uniform(0.0, 1.0, (rows, K)), axis=-1)
+    elif shape == "random":
+        y = rng.standard_normal((rows, K))
+    else:
+        y = np.cumsum(rng.integers(-1, 2, (rows, K)), axis=-1).astype(float)
+    span = x[:, -1:] - x[:, :1]
+    at = x[:, :1] + span * rng.uniform(-0.2, 1.2, (rows, M))
+    at = np.concatenate([at, x], axis=-1)  # and every breakpoint
+    assert np.array_equal(repar._monotone_cubic(x, y, at), _pchip_oracle(x, y, at))
 
 
 def test_resample_exact_on_cubics():

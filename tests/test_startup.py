@@ -18,14 +18,23 @@ SCRIPT = textwrap.dedent("""
     import elastic_networks
     from elastic_networks import fixtures, repar, solver
 
+    deferred = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
+                "scipy.special", "scipy.spatial")
+
+    def loaded():
+        return sorted(name for name in deferred if name in sys.modules)
+
     for module in pkgutil.iter_modules(elastic_networks.__path__):
         __import__(f"elastic_networks.{module.name}")
     state, params = fixtures.triod_bent(N=32)
-    solver.evolve(state, params, solver.SolverConfig(dt=1e-5, t_end=1e-5))
-    deferred = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
-    print(sorted(name for name in deferred if name in sys.modules))
+    config = solver.SolverConfig(dt=1e-5, t_end=2e-5)
+    run_a = solver.evolve(state, params, config)
+    print(loaded())
     repar.const_speed_reparam(state.curves[0])
-    print("scipy.interpolate" in sys.modules)
+    resampled = solver.NetworkState(repar.const_speed_reparam(state)[0])
+    run_b = solver.evolve(resampled, params, config, preflight="warn")
+    repar.geometric_equivalence(run_a, run_b, params.lam)
+    print(loaded())
 """)
 
 
@@ -34,7 +43,7 @@ def test_a_run_loads_no_integrate_interpolate_or_optimize():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": path})
-    loaded_by_run, loaded_by_reparam = done.stdout.split()
+    loaded_by_run, loaded_by_reparam = done.stdout.splitlines()
     assert loaded_by_run == "[]"
-    # the interpolator is imported on first use, not never
-    assert loaded_by_reparam == "True"
+    # nor does reparametrizing: one curve, a network and the certificate
+    assert loaded_by_reparam == "[]"
