@@ -1,4 +1,4 @@
-"""Energies, residual monitors and norm estimates.
+"""Energies, residual monitors and the records of a run.
 
 Quadrature is the trapezoidal rule on the uniform parameter grid with
 the arclength element |f'| dx.  The first-variation check compares the
@@ -7,7 +7,7 @@ analytic L^2 gradient against a central difference of the energy.
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,13 +58,11 @@ def first_variation_check(curve, direction, functional="elastic", lam=0.0):
     kap = geometry.curvature(bundle)
     if functional == "length":
         grad = -kap
-        lam_bend, lam_len = 0.0, 1.0
     elif functional == "elastic":
         grad = geometry.energy_gradient(bundle)
-        lam_bend, lam_len = 1.0, 0.0
+        lam = 0.0
     elif functional == "penalized":
         grad = geometry.energy_gradient(bundle) - lam * kap
-        lam_bend, lam_len = 1.0, lam
     else:
         raise ValueError(f"unknown functional {functional!r}")
     density = np.einsum("ij,ij->i", grad, direction) * bundle.speed
@@ -72,10 +70,9 @@ def first_variation_check(curve, direction, functional="elastic", lam=0.0):
 
     def value(nodes):
         c = geometry.CurveSamples(nodes)
-        if lam_bend:
-            return elastic_energy(c, lam_len)
-        return lam_len * float(np.trapezoid(geometry.finite_differences(c).speed,
-                                            dx=c.h))
+        if functional == "length":
+            return float(np.trapezoid(geometry.finite_differences(c).speed, dx=c.h))
+        return elastic_energy(c, lam)
 
     d = VARIATION_EPS * direction
     numeric = (value(curve.nodes + d) - value(curve.nodes - d)) / (2.0 * VARIATION_EPS)
@@ -98,52 +95,6 @@ def boundary_residuals(state, params, bundle=None):
             for key, name in RESIDUAL_NAMES.items()}
 
 
-def _holder_quotient(values, coords, exponent):
-    # sup over a < b of |v[b] - v[a]|_1 / |coords[b] - coords[a]|^exponent
-    # and over the m rows of values (len(coords), m) or (len(coords), m, n)
-    v = np.atleast_3d(np.asarray(values, dtype=float))
-    coords = np.asarray(coords, dtype=float)
-    worst = 0.0
-    for a in range(coords.size - 1):
-        dc = np.abs(coords[a + 1:] - coords[a])
-        dv = np.abs(v[a + 1:] - v[a]).sum(axis=2)
-        worst = max(worst, float(np.max(dv / dc[:, None]**exponent)))
-    return worst
-
-
-def holder_seminorm_space(values, positions, rho):
-    """sup over time slices of the rho-Hoelder quotient in the space variable."""
-    return _holder_quotient(np.swapaxes(values, 0, 1), positions, rho)
-
-
-def holder_seminorm_time(values, times, rho):
-    """sup over space points of the rho/4-Hoelder quotient in time."""
-    return _holder_quotient(values, times, rho / 4.0)
-
-
-def parabolic_norm(values, times, positions, rho, k=0):
-    """Parabolic Hoelder norm of a space-time sample, for k in {0, 1}.
-
-    k = 0 uses sup |v| plus both seminorms of v; k = 1 adds the same
-    quantities for the first space derivative (positions are uniform) and
-    the matching (1+rho)/4 time regularity of v itself.
-    """
-    if k not in (0, 1):
-        raise ValueError("only the layers k = 0 and k = 1 are supported")
-    v = np.asarray(values, dtype=float)
-    total = float(np.max(np.abs(v)))
-    total += holder_seminorm_space(v, positions, rho)
-    total += holder_seminorm_time(v, times, rho)
-    if k == 1:
-        h = float(positions[1] - positions[0])
-        dv = np.stack([geometry.apply_derivative(s, 1, h) for s in v])
-        total += float(np.max(np.abs(dv)))
-        total += holder_seminorm_space(dv, positions, rho)
-        total += holder_seminorm_time(dv, times, rho)
-        total += holder_seminorm_time(v, times, 1.0 + rho)
-    return total
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     """Scalar monitors of one state along a run."""
@@ -156,15 +107,9 @@ class DiagnosticsRecord:
     concurrency: float
     third_order_sum: float
 
-    FIELDS = (
-        "time",
-        "energy",
-        "min_speed",
-        "endpoint",
-        "second_derivative",
-        "concurrency",
-        "third_order_sum",
-    )
+
+# the CSV columns: the record's fields, in order
+DiagnosticsRecord.FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def record_state(state, params):

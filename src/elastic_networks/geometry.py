@@ -99,22 +99,6 @@ def _scales(num):
     return scales[:, None, None]
 
 
-def apply_derivative(values, order, h):
-    """Apply the order-th parameter derivative to per-node samples.
-
-    values has shape (N+1,) or (N+1, n); the result has the same shape.
-    Interior nodes use centered stencils, nodes near the ends use shifted
-    stencils of the same formal order.
-    """
-    v = np.asarray(values, dtype=float)
-    num = v.shape[0]
-    if num < MIN_INTERVALS + 1 or num < _SHIFTED_POINTS[order]:
-        raise ConfigurationError(
-            f"need at least {MIN_INTERVALS + 1} nodes for order-{order} stencils, got {num}"
-        )
-    return (_derivative_matrix(num, order) @ v) / h**order
-
-
 def _check_grid(nodes):
     # the trailing (N+1, n) axes of one curve or of a stacked network
     if nodes.shape[-1] < 2:

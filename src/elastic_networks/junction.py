@@ -6,7 +6,6 @@ tangents T_i, the projectors E_i, the vector b of the linearized
 third-order condition and the third-order sum.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -15,33 +14,6 @@ from . import geometry
 from .errors import NonCollinearError
 
 DEFAULT_RANK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class JunctionFrame:
-    """Unit tangents and second covariant curvature derivatives at x = 0."""
-
-    tangents: np.ndarray  # (q, n), unit rows
-    a_vectors: np.ndarray  # (q, n)
-
-    def __post_init__(self):
-        t = np.atleast_2d(np.asarray(self.tangents, dtype=float))
-        a = np.atleast_2d(np.asarray(self.a_vectors, dtype=float))
-        object.__setattr__(self, "tangents", t)
-        object.__setattr__(self, "a_vectors", a)
-        if t.shape != a.shape:
-            raise ValueError("tangents and a_vectors must have matching shapes")
-        norms = np.linalg.norm(t, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
-            raise ValueError("junction tangents must be unit vectors")
-
-    @property
-    def q(self):
-        return self.tangents.shape[0]
-
-    @property
-    def n(self):
-        return self.tangents.shape[1]
 
 
 def nc_value(tangents):
@@ -73,17 +45,21 @@ def build_Q(tangents):
     return mat
 
 
-def junction_phi(frame):
-    """Junction tangential speeds solving the Q-system; needs span >= 2."""
-    if span_dimension(frame.tangents) < 2:
+def junction_phi(tangents, a_vectors):
+    """Junction tangential speeds solving the Q-system; needs span >= 2.
+
+    tangents are the unit junction tangents T_i and a_vectors the second
+    covariant curvature derivatives A_i at x = 0, both (q, n).
+    """
+    t = np.atleast_2d(np.asarray(tangents, dtype=float))
+    a = np.atleast_2d(np.asarray(a_vectors, dtype=float))
+    if span_dimension(t) < 2:
         raise NonCollinearError(
             "junction tangents are collinear: Q-system is singular"
         )
-    q_mat = build_Q(frame.tangents)
-    total = frame.a_vectors.sum(axis=0)
     # rhs_i = -< sum_{j != i} A_j, T_i >
-    rhs = -np.einsum("ij,ij->i", total[None, :] - frame.a_vectors, frame.tangents)
-    return np.linalg.solve(q_mat, rhs)
+    rhs = -np.einsum("ij,ij->i", a.sum(axis=0)[None, :] - a, t)
+    return np.linalg.solve(build_Q(t), rhs)
 
 
 def powers(values, k):

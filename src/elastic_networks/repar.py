@@ -232,7 +232,7 @@ def geometric_equivalence(trajectory_a, trajectory_b, lam):
             f"runs differ in curve count or ambient dimension: node arrays "
             f"(q, N+1, n) = {shape_a} and {shape_b}")
     times = np.array([s.time for s in trajectory_a])
-    if not np.allclose(times, [s.time for s in trajectory_b], atol=1e-12):
+    if not np.allclose(times, [s.time for s in trajectory_b], rtol=1e-12, atol=1e-12):
         raise ConfigurationError("trajectories must store matching times")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
 

@@ -1,9 +1,8 @@
 """Compatibility and well-posedness verification.
 
 Order-zero compatibility of the initial network with the boundary
-conditions, the first time-derivative layer on top of it, the uniform
-parabolicity margin, and a numerical realization of the complementary
-(Lopatinskii) conditions at the fixed ends and at the junction.
+conditions, the uniform parabolicity margin, and a numerical realization
+of the complementary (Lopatinskii) condition at the junction.
 """
 
 import cmath
@@ -13,11 +12,9 @@ import numpy as np
 
 from . import geometry, junction
 from .errors import RegularityError
-from .geometry import SPEED_FLOOR, apply_derivative
+from .geometry import SPEED_FLOOR
 
 DEFAULT_TOL = 1e-8
-# time step of the central difference in the third-order-sum rate
-RATE_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,47 +136,6 @@ def check_compat_order0(network, params, bundle=None):
     return _report(rows)
 
 
-def check_compat_order1(network, params):
-    """First time-derivative compatibility layers.
-
-    Checks d_x^2 of the parabolic right-hand side at both ends of each
-    curve, and the first time derivative of the third-order junction sum
-    with the time derivative replaced by the right-hand side itself.
-    """
-    bundle = geometry.finite_differences(network)
-    order0 = check_compat_order0(network, params, bundle=bundle)
-    rows = [("order0-prerequisite", -1, -1, 0.0 if order0.passed else 1.0, 0.5)]
-    nodes = network.nodes
-    q, h = network.q, 1.0 / network.N
-    peaks = np.max(np.abs(nodes), axis=(1, 2))
-
-    velocities = geometry.flow_velocity(bundle, params.lam[:, None])
-    # the curves side by side as columns, differentiated in one product
-    d2v = apply_derivative(np.concatenate(velocities, axis=1), 2, h)
-    ends = _norms(d2v[[0, -1]].reshape(2, q, -1))
-    # the velocity already carries ~eps_mach/h^4 stencil rounding noise,
-    # which the second derivative amplifies by a further 1/h^2
-    floors = 100.0 * np.finfo(float).eps * peaks / h**6
-    tols = (DEFAULT_TOL * (1.0 + np.max(np.linalg.norm(velocities, axis=-1), axis=1))
-            + floors)
-    rows += [("second-derivative-of-velocity", i, end, ends[end, i], tols[i])
-             for i in range(q) for end in (0, 1)]
-
-    if q >= 2:
-        def summed(sign):
-            shifted = geometry.NetworkState(nodes + sign * RATE_EPS * velocities)
-            b = geometry.finite_differences(shifted)
-            return junction.third_order_sum(b, params.lam)
-
-        dt_sum = (summed(1.0) - summed(-1.0)) / (2.0 * RATE_EPS)
-        # the central difference amplifies the ~eps_mach/h^3 rounding noise
-        # of the third-derivative stencils by 1/RATE_EPS
-        floor = 100.0 * np.finfo(float).eps * float(np.max(peaks)) / h**3 / RATE_EPS
-        rows.append(("third-order-sum-rate", -1, 0, np.linalg.norm(dt_sum),
-                     DEFAULT_TOL * q / RATE_EPS * 1e-2 + floor))
-    return _report(rows)
-
-
 def parabolicity_margin(speeds):
     """Fourth power of the smallest coefficient 1/|f'| over the network."""
     speeds = np.asarray(speeds, dtype=float)
@@ -237,11 +193,3 @@ def junction_complementary(tangents, D, p):
     """
     sv = np.linalg.svd(_complementary_matrix(tangents, D, p), compute_uv=False)
     return bool(sv[-1] > junction.DEFAULT_RANK_TOL * sv[0])
-
-
-def fixed_end_complementary(D, p):
-    """Triviality of the reduced 2x2 system at a fixed end (always holds)."""
-    roots = positive_roots(p, D)
-    coupling = 1j * roots.radii[0]**2 * np.exp(1j * cmath.phase(roots.p) / 2.0)
-    det = abs(np.linalg.det(np.array([[1.0, -coupling], [1.0, coupling]])))
-    return bool(det > 0.0)

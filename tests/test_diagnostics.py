@@ -1,9 +1,9 @@
-"""Energies, first variations, Hoelder seminorms and record serialization."""
+"""Energies, first variations, residual monitors and record serialization."""
 
 import numpy as np
 import pytest
 
-from elastic_networks import diagnostics, fixtures, geometry, wellposed
+from elastic_networks import diagnostics, fixtures, wellposed
 from elastic_networks.geometry import CurveSamples, NetworkState
 
 
@@ -98,69 +98,6 @@ def test_boundary_residuals_are_the_worst_order0_records(network):
     for key, condition in diagnostics.RESIDUAL_NAMES.items():
         matching = [r.residual for r in records if r.condition == condition]
         assert res[key] == max(matching, default=0.0), key
-
-
-def _brute_force_space(values, positions, rho):
-    worst = 0.0
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 2:
-        v = v[:, :, None]
-    for slice_ in v:
-        for a in range(len(positions)):
-            for b in range(len(positions)):
-                if a == b:
-                    continue
-                quot = (np.abs(slice_[a] - slice_[b]).sum()
-                        / abs(positions[a] - positions[b]) ** rho)
-                worst = max(worst, quot)
-    return worst
-
-
-def test_holder_seminorm_space_against_brute_force():
-    rng = np.random.default_rng(11)
-    values = rng.normal(size=(3, 9))
-    positions = np.sort(rng.uniform(0.0, 1.0, size=9))
-    rho = 0.5
-    assert diagnostics.holder_seminorm_space(values, positions, rho) == (
-        pytest.approx(_brute_force_space(values, positions, rho), rel=1e-12))
-
-
-def test_holder_seminorm_time_against_brute_force():
-    rng = np.random.default_rng(12)
-    values = rng.normal(size=(7, 4))
-    times = np.sort(rng.uniform(0.0, 1.0, size=7))
-    rho = 0.6
-    # the time quotient uses exponent rho / 4; brute force over pairs
-    worst = 0.0
-    for a in range(7):
-        for b in range(7):
-            if a == b:
-                continue
-            for j in range(4):
-                quot = (abs(values[a, j] - values[b, j])
-                        / abs(times[a] - times[b]) ** (rho / 4.0))
-                worst = max(worst, quot)
-    assert diagnostics.holder_seminorm_time(values, times, rho) == (
-        pytest.approx(worst, rel=1e-12))
-
-
-def test_holder_seminorm_of_sqrt_profile():
-    # |x|^rho has Hoelder-rho seminorm exactly 1 on pairs including 0
-    x = np.linspace(0.0, 1.0, 33)
-    v = np.sqrt(x)[None, :]
-    assert diagnostics.holder_seminorm_space(v, x, 0.5) == pytest.approx(
-        1.0, rel=1e-10)
-
-
-def test_parabolic_norm_layers():
-    times = np.linspace(0.0, 1.0, 5)
-    x = np.linspace(0.0, 1.0, 17)
-    values = np.array([np.sin(np.pi * x) * np.exp(-t) for t in times])
-    n0 = diagnostics.parabolic_norm(values, times, x, rho=0.5, k=0)
-    n1 = diagnostics.parabolic_norm(values, times, x, rho=0.5, k=1)
-    assert 0.0 < n0 < n1  # the k = 1 layer adds derivative terms
-    with pytest.raises(ValueError):
-        diagnostics.parabolic_norm(values, times, x, rho=0.5, k=2)
 
 
 def test_records_roundtrip_through_csv():

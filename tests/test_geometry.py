@@ -81,29 +81,29 @@ def test_derivative_matrix_equals_entrywise_loop_oracle(num, order):
         assert np.array_equal(got, want)
 
 
-def test_apply_derivative_exact_on_polynomials():
+def test_finite_differences_exact_on_polynomials():
     # every stencil of formal order two annihilates its own error term on
-    # low-degree polynomials: quadratics for d1, cubics for d2
+    # low-degree polynomials: quadratics for d1, cubics for d2; the first
+    # component x keeps the curve regular
     N = 16
     x = np.linspace(0.0, 1.0, N + 1)
-    h = 1.0 / N
     quadratic = 2.0 - x + 3.0 * x**2
-    d1 = geometry.apply_derivative(quadratic, 1, h)
-    assert np.allclose(d1, -1.0 + 6.0 * x, atol=1e-10)
     cubic = 2.0 - x + 3.0 * x**2 + 0.5 * x**3
-    d2 = geometry.apply_derivative(cubic, 2, h)
-    assert np.allclose(d2, 6.0 + 3.0 * x, atol=1e-9)
     quartic = x**4
-    d4 = geometry.apply_derivative(quartic, 4, h)
-    assert np.allclose(d4, 24.0, atol=1e-6)
+    bundle = geometry.finite_differences(
+        geometry.CurveSamples(np.stack([x, quadratic, cubic, quartic], axis=1)))
+    assert np.allclose(bundle.d1[:, 1], -1.0 + 6.0 * x, atol=1e-10)
+    assert np.allclose(bundle.d2[:, 2], 6.0 + 3.0 * x, atol=1e-9)
+    assert np.allclose(bundle.d4[:, 3], 24.0, atol=1e-6)
 
 
-def test_apply_derivative_second_order_convergence():
+def test_finite_differences_second_order_convergence():
     errs = []
     for N in (64, 128):
         x = np.linspace(0.0, 1.0, N + 1)
         v = np.sin(2.0 * np.pi * x)
-        d3 = geometry.apply_derivative(v, 3, 1.0 / N)
+        curve = geometry.CurveSamples(np.stack([x, v], axis=1))
+        d3 = geometry.finite_differences(curve).d3[:, 1]
         exact = -(2.0 * np.pi) ** 3 * np.cos(2.0 * np.pi * x)
         errs.append(np.max(np.abs(d3 - exact)))
     assert np.log2(errs[0] / errs[1]) > 1.9
@@ -283,12 +283,11 @@ def _assert_bundle_is_per_order_derivatives(curves):
         single = geometry.finite_differences(curve)
         for name in ("d1", "d2", "d3", "d4", "speed"):
             assert np.array_equal(getattr(stacked, name)[i], getattr(single, name))
-        for order in range(1, 5):
-            assert np.array_equal(
-                getattr(single, f"d{order}"),
-                geometry.apply_derivative(curve.nodes, order, curve.h))
-        assert np.array_equal(single.speed, np.linalg.norm(
-            geometry.apply_derivative(curve.nodes, 1, curve.h), axis=1))
+        per_order = [geometry._derivative_matrix(num, order) @ curve.nodes
+                     / curve.h**order for order in range(1, 5)]
+        for order, expected in enumerate(per_order, start=1):
+            assert np.array_equal(getattr(single, f"d{order}"), expected)
+        assert np.array_equal(single.speed, np.linalg.norm(per_order[0], axis=1))
 
 
 @pytest.mark.parametrize("q, n", [(1, 2), (3, 2), (4, 3)])

@@ -13,18 +13,18 @@ def triod_tangents():
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def random_frame(rng, q=None, n=None, normal_a=True):
-    q = q or int(rng.integers(2, 6))
-    n = n or int(rng.integers(2, 5))
+def random_frame(rng):
+    # unit tangents spanning at least two dimensions and normal a_vectors
+    q = int(rng.integers(2, 6))
+    n = int(rng.integers(2, 5))
     while True:
         t = rng.normal(size=(q, n))
         t /= np.linalg.norm(t, axis=1)[:, None]
         if junction.span_dimension(t) >= 2:
             break
     a = rng.normal(size=(q, n))
-    if normal_a:
-        a -= np.einsum("ij,ij->i", a, t)[:, None] * t
-    return junction.JunctionFrame(tangents=t, a_vectors=a)
+    a -= np.einsum("ij,ij->i", a, t)[:, None] * t
+    return t, a
 
 
 def test_nc_value_symmetric_triod():
@@ -59,9 +59,8 @@ def test_build_Q_symmetric_triod_spectrum():
 
 def test_junction_phi_rejects_collinear():
     t = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    frame = junction.JunctionFrame(tangents=t, a_vectors=np.zeros((2, 2)))
     with pytest.raises(NonCollinearError):
-        junction.junction_phi(frame)
+        junction.junction_phi(t, np.zeros((2, 2)))
 
 
 def test_junction_phi_satisfies_componentwise_equations():
@@ -70,10 +69,9 @@ def test_junction_phi_satisfies_componentwise_equations():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
-        frame = random_frame(rng)
-        phi = junction.junction_phi(frame)
-        t, a = frame.tangents, frame.a_vectors
-        q = frame.q
+        t, a = random_frame(rng)
+        phi = junction.junction_phi(t, a)
+        q = t.shape[0]
         for i in range(q):
             lhs = (q - 1) * phi[i] - sum(
                 phi[j] * float(t[j] @ t[i]) for j in range(q) if j != i)
@@ -83,15 +81,8 @@ def test_junction_phi_satisfies_componentwise_equations():
 
 
 def test_junction_phi_zero_for_flat_data():
-    frame = junction.JunctionFrame(tangents=triod_tangents(),
-                                   a_vectors=np.zeros((3, 2)))
-    assert np.allclose(junction.junction_phi(frame), 0.0, atol=1e-14)
-
-
-def test_junction_frame_validates_unit_tangents():
-    with pytest.raises(ValueError):
-        junction.JunctionFrame(tangents=np.array([[2.0, 0.0], [0.0, 1.0]]),
-                               a_vectors=np.zeros((2, 2)))
+    phi = junction.junction_phi(triod_tangents(), np.zeros((3, 2)))
+    assert np.allclose(phi, 0.0, atol=1e-14)
 
 
 def _bundles_for(nodes_list):

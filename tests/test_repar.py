@@ -263,6 +263,17 @@ def test_geometric_equivalence_validates_frames():
         repar.geometric_equivalence(trajectory, trajectory[:-1], params.lam)
 
 
+def test_geometric_equivalence_rejects_times_a_relative_5e_6_apart():
+    # 2e-10 apart at t = 4e-5: within NumPy's default relative tolerance
+    # of 1e-5, far beyond the 1e-12 the frame times must match to
+    state, params = fixtures.triod_bent(N=32)
+    trajectory = solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=4e-5))
+    later = [solver.NetworkState(s.nodes, time=s.time * (1.0 + 5e-6))
+             for s in trajectory]
+    with pytest.raises(ConfigurationError, match="trajectories must store matching times"):
+        repar.geometric_equivalence(trajectory, later, params.lam)
+
+
 @pytest.mark.parametrize("other", [
     # another curve count
     lambda triod: fixtures.single_clamped(N=48)[0],

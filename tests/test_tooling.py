@@ -130,3 +130,64 @@ def test_every_keyword_passed_to_a_package_function_is_accepted():
                 for keyword in keywords if not _accepts(function, keyword)]
     assert calls
     assert rejected == []
+
+
+SRC = ROOT / "src" / "elastic_networks"
+
+# public names that stay although no module, demo or benchmark file calls
+# them: the acceptance criteria call the first five, and the readers load
+# what `elastic-networks simulate` writes
+UNCALLED_BUT_KEPT = {
+    "geometry.flow_velocity",  # criterion 5, the parabolic form
+    "geometry.geometric_velocity",  # criterion 5, the geometric form
+    "fixtures.circle",  # criterion 6
+    "junction.junction_phi",  # criterion 7
+    "diagnostics.first_variation_check",  # criterion 11
+    "diagnostics.records_from_csv",  # reads diagnostics.csv
+    "io.load_trajectory",  # reads trajectory.json
+}
+
+
+def _definitions(statement):
+    # the names a top-level statement binds, imports aside
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _reads(statement):
+    # the bare names and attribute names a statement reads
+    return {getattr(node, "id", None) or node.attr for node in ast.walk(statement)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name that only tests use is surface without a job: give it one or
+    # remove it.  Names are matched by spelling.  A top-level statement of
+    # src/ counts as a user only once something used reads a name it
+    # defines; the demos, the benchmark and src/'s statements that define
+    # nothing (the entry point's guard) are used from the start.
+    definitions = {}
+    live = set()
+    for folder in (SRC, ROOT / "demos", PERFBENCH):
+        for path in sorted(folder.glob("*.py")):
+            for statement in ast.parse(path.read_text()).body:
+                names = _definitions(statement) if folder == SRC else set()
+                kept = {n for n in names if f"{path.stem}.{n}" in UNCALLED_BUT_KEPT}
+                if names and not kept:
+                    definitions[statement] = (path.stem, names)
+                else:
+                    live |= _reads(statement)
+    grown = True
+    while grown:
+        grown = False
+        for statement, (_, names) in list(definitions.items()):
+            if names & live:
+                live |= _reads(statement)
+                del definitions[statement]
+                grown = True
+    unused = sorted(f"{module}.{name}" for module, names in definitions.values()
+                    for name in names if not name.startswith("_"))
+    assert unused == [], f"only tests use: {', '.join(unused)}"

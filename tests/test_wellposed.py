@@ -63,22 +63,6 @@ def test_order0_detects_unbalanced_junction():
     assert "third-order-sum" in failing
 
 
-def test_order1_passes_on_equilibrium():
-    state, params = fixtures.triod_equilibrium(N=48)
-    report = wellposed.check_compat_order1(state, params)
-    assert report.passed, report.failing()
-
-
-def test_order1_rejects_bent_triod():
-    # the bent fixture satisfies order zero but genuinely violates the
-    # first derivative layer (the velocity is curved at the ends)
-    state, params = fixtures.triod_bent(N=64)
-    report = wellposed.check_compat_order1(state, params)
-    assert not report.passed
-    failing = {r.condition for r in report.failing()}
-    assert "second-derivative-of-velocity" in failing
-
-
 def test_record_rendering_names_where_each_condition_applies():
     def rendered(condition, curve, endpoint):
         return str(wellposed.CompatRecord(condition, curve, endpoint, 2.5e-3, 1e-8))
@@ -160,19 +144,6 @@ def test_junction_complementary_matches_span_criterion():
         expected = junction.span_dimension(t) >= 2
         for p in (1.0, 1j, 1 + 1j):
             assert wellposed.junction_complementary(t, D, p) is expected
-
-
-def test_fixed_end_complementary_always_holds():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        p = complex(rng.uniform(0.0, 4.0), rng.uniform(-4.0, 4.0))
-        if p == 0:
-            continue
-        assert wellposed.fixed_end_complementary(rng.uniform(0.2, 3.0), p)
-    with pytest.raises(ValueError):
-        wellposed.fixed_end_complementary(1.0, 0.0)
-    with pytest.raises(ValueError):
-        wellposed.fixed_end_complementary(-1.0, 1.0)
 
 
 def _order0_sequence(q):
