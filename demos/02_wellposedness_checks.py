@@ -17,13 +17,13 @@ for name, (state, params) in (
     ("4 curves in R^3", fixtures.q4_spatial(N=64)),
 ):
     print(f"=== {name} ===")
-    report = wellposed.check_compat_order0(state, params)
+    bundle = geometry.finite_differences(state)
+    report = wellposed.check_compat_order0(state, params, bundle=bundle)
     print(f"order-0 compatibility: {'ok' if report.passed else 'FAIL'} "
           f"({len(report.records)} conditions)")
     for rec in report.failing():
         print(f"  failing: {rec}")
 
-    bundle = geometry.finite_differences(state)
     tangents = junction.tangents(bundle)
     nc = junction.nc_value(tangents)
     span = junction.span_dimension(tangents)

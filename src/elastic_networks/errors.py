@@ -8,11 +8,12 @@ class ConfigurationError(ValueError):
 class RegularityError(RuntimeError):
     """A curve lost the regular-parametrization property |f'| > 0."""
 
-    def __init__(self, message, curve=None, node=None, time=None):
+    time = None  # set by evolve to the time of the failing step
+
+    def __init__(self, message, curve=None, node=None):
         super().__init__(message)
         self.curve = curve
         self.node = node
-        self.time = time
 
 
 class NonCollinearError(RuntimeError):
@@ -22,9 +23,7 @@ class NonCollinearError(RuntimeError):
 class StepError(RuntimeError):
     """A time step could not be completed."""
 
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
+    time = None  # set by evolve to the time of the failing step
 
 
 class DiffeoBreakdownError(RuntimeError):

@@ -71,10 +71,10 @@ def triod_bent(N=DEFAULT_N, lam=1.0, amplitude=0.05):
     return NetworkState(state.nodes + bow), params
 
 
-def triod_bent_skewed(N=DEFAULT_N, lam=1.0, amplitude=0.05, skew=0.4):
+def triod_bent_skewed(N=DEFAULT_N, skew=0.4):
     """The bent triod traced with a non-uniform parameter speed.
 
-    Each spoke is the same geometric curve as in triod_bent, but sampled
+    Each spoke is the curve of triod_bent at its defaults, but sampled
     at chi(k/N) with a smooth diffeomorphism chi whose derivative varies
     by roughly the skew factor.  Both the position and the bump are
     evaluated analytically at the skewed parameters, so the two networks
@@ -96,23 +96,23 @@ def triod_bent_skewed(N=DEFAULT_N, lam=1.0, amplitude=0.05, skew=0.4):
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
     nodes = (chi[:, None] * dirs[:, None, :]
-             + amplitude * bump_poly(chi)[:, None] * normals[:, None, :])
-    params = FlowParams(endpoints=dirs, lam=np.full(3, float(lam)))
+             + 0.05 * bump_poly(chi)[:, None] * normals[:, None, :])
+    params = FlowParams(endpoints=dirs, lam=np.ones(3))
     return NetworkState(nodes), params
 
 
-def collinear_bad(N=DEFAULT_N, lam=1.0):
-    """Two opposite straight spokes: the junction tangents are collinear.
+def collinear_bad(N=DEFAULT_N):
+    """Two opposite straight unit-penalty spokes: collinear junction tangents.
 
     The tangential-speed system at the junction is singular for this
     network, so it must be rejected by the preflight checks.
     """
     dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    params = FlowParams(endpoints=dirs, lam=np.full(2, float(lam)))
+    params = FlowParams(endpoints=dirs, lam=np.ones(2))
     return NetworkState(_spokes(dirs, N)), params
 
 
-def q4_spatial(N=DEFAULT_N, lam=1.0):
+def q4_spatial(N=DEFAULT_N):
     """Four straight spokes toward tetrahedron vertices in R^3.
 
     The four unit tangents sum to zero, so this is again a steady state
@@ -124,12 +124,12 @@ def q4_spatial(N=DEFAULT_N, lam=1.0):
         [-1.0, 1.0, -1.0],
         [-1.0, -1.0, 1.0],
     ]) / np.sqrt(3.0)
-    params = FlowParams(endpoints=dirs, lam=np.full(4, float(lam)))
+    params = FlowParams(endpoints=dirs, lam=np.ones(4))
     return NetworkState(_spokes(dirs, N)), params
 
 
-def single_clamped(N=DEFAULT_N, amplitude=0.05, lam=0.5):
-    """One gently bowed curve with both ends clamped (no junction).
+def single_clamped(N=DEFAULT_N, amplitude=0.05):
+    """One gently bowed curve, both ends clamped, length penalty 1/2.
 
     The bump profile keeps the order-zero compatibility conditions exact
     at both endpoints, which makes this the reference problem for the
@@ -138,7 +138,7 @@ def single_clamped(N=DEFAULT_N, amplitude=0.05, lam=0.5):
     x = np.linspace(0.0, 1.0, N + 1)
     bump = _bump_profile(N)
     nodes = np.stack([x, amplitude * bump], axis=1)
-    params = FlowParams(endpoints=np.array([[1.0, 0.0]]), lam=np.array([float(lam)]))
+    params = FlowParams(endpoints=np.array([[1.0, 0.0]]), lam=np.array([0.5]))
     return NetworkState(nodes[None]), params
 
 

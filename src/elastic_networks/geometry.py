@@ -123,16 +123,8 @@ class CurveSamples:
         _check_grid(nodes)
 
     @property
-    def n(self):
-        return self.nodes.shape[1]
-
-    @property
-    def N(self):
-        return self.nodes.shape[0] - 1
-
-    @property
     def h(self):
-        return 1.0 / self.N
+        return 1.0 / (self.nodes.shape[0] - 1)
 
 
 @dataclass(frozen=True, init=False)

@@ -96,7 +96,7 @@ class SolverConfig:
         return int(round(self.t_end / self.dt))
 
 
-def _solve(matrix, lu, perm_c, rhs, time):
+def _solve(matrix, lu, perm_c, rhs):
     """Nodes (q, N+1, n) solving the factored step for a (q, N+1, n) rhs.
 
     lu factors matrix with its columns in the order perm_c (SuperLU's
@@ -112,8 +112,7 @@ def _solve(matrix, lu, perm_c, rhs, time):
     residual = np.max(np.abs(matrix @ x - b))
     # written so that a NaN residual fails too
     if not residual <= LINEAR_RESIDUAL_TOL * (1.0 + np.max(np.abs(b))):
-        raise StepError(f"linear step residual {residual:.3e} too large",
-                        time=time)
+        raise StepError(f"linear step residual {residual:.3e} too large")
     return x.reshape(rhs.shape)
 
 
@@ -273,8 +272,7 @@ def picard_step(state, params, config, *, bundle=None, time=None):
         # diagonal, so the pivots could differ only on an exact tie
         lu = sp.linalg.splu(permuted, permc_spec="NATURAL")
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
-        raise StepError(f"step matrix cannot be factored: {err}",
-                        time=time) from err
+        raise StepError(f"step matrix cannot be factored: {err}") from err
     del permuted  # no step array outlives the factorization
     # set once per step: the start nodes on the interior rows and the
     # constant rows of the rhs (outer endpoints; for q = 1 the pinned
@@ -288,7 +286,7 @@ def picard_step(state, params, config, *, bundle=None, time=None):
     previous_change = np.inf
     for _ in range(PICARD_MAX):
         _step_rhs(rhs, current_bundle, base_dt, d_pow4, e_matrices, params)
-        new = NetworkState(_solve(matrix, lu, perm_c, rhs, time), time=time)
+        new = NetworkState(_solve(matrix, lu, perm_c, rhs), time=time)
         change = float(np.max(np.abs(new.nodes - current.nodes)))
         current = new
         # stop at the tolerance, or once contraction has hit the rounding
@@ -298,23 +296,20 @@ def picard_step(state, params, config, *, bundle=None, time=None):
             return current
         previous_change = change
         current_bundle = geometry.finite_differences(current)
-    raise StepError(
-        f"Picard iteration stalled (last change {change:.3e})", time=time
-    )
+    raise StepError(f"Picard iteration stalled (last change {change:.3e})")
 
 
-def regularity_guard(state, bundle, initial_margin):
+def regularity_guard(bundle, initial_margin):
     """Raise once uniform parabolicity degrades past GUARD_FACTOR.
 
-    bundle is state's stacked bundle; only its speeds are read.
+    bundle is the stacked bundle of a network; only its speeds are read.
     """
     margin = wellposed.parabolicity_margin(bundle.speed)
     if margin < GUARD_FACTOR * initial_margin:
         raise RegularityError(
             f"parabolicity margin {margin:.6e} fell to "
             f"{margin / initial_margin:.6f} of its initial value "
-            f"{initial_margin:.6e}, below the factor {GUARD_FACTOR}",
-            time=state.time,
+            f"{initial_margin:.6e}, below the factor {GUARD_FACTOR}"
         )
 
 
@@ -361,14 +356,13 @@ def evolve(state, params, config, observers=(), preflight="strict"):
             # the accepted state's one bundle: the guard reads its speeds
             # and the next step starts from it
             bundle = geometry.finite_differences(state)
-            regularity_guard(state, bundle, initial_margin)
+            regularity_guard(bundle, initial_margin)
             if (step + 1) % config.store_every == 0 or step == num_steps - 1:
                 trajectory.append(state)
             for obs in observers:
                 obs(state)
     except (StepError, RegularityError) as err:
-        if err.time is None:  # finite_differences knows no time
-            err.time = time
+        err.time = time  # the step code raises without a time
         err.trajectory = trajectory
         raise
     return trajectory

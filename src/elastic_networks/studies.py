@@ -1,9 +1,9 @@
 """Grid- and step-refinement studies of the time stepper.
 
 Both studies run the clamped single-curve problem (fixtures.single_clamped
-at its default bump and penalty), whose data satisfies the discrete
-boundary conditions exactly, and compare refined runs against a much
-finer reference run at the final time.
+at its default bump), whose data satisfies the discrete boundary
+conditions exactly, and compare refined runs against a much finer
+reference run at the final time.  The study sizes are module constants.
 """
 
 from dataclasses import dataclass
@@ -12,6 +12,15 @@ import numpy as np
 
 from . import fixtures
 from .solver import SolverConfig, evolve
+
+SPATIAL_NS = (32, 64, 128)
+SPATIAL_N_REF = 256  # a multiple of every grid of SPATIAL_NS
+SPATIAL_DT = 2.5e-8
+SPATIAL_T_END = 1e-6
+TEMPORAL_DTS = (4e-6, 2e-6, 1e-6)
+TEMPORAL_DT_REF = 1.25e-7
+TEMPORAL_N = 48
+TEMPORAL_T_END = 4e-5
 
 
 @dataclass(frozen=True)
@@ -53,17 +62,15 @@ def _study(levels, final_state, reference):
     return StudyResult(levels=tuple(levels), errors=tuple(errors), rates=tuple(rates))
 
 
-def spatial_convergence(Ns=(32, 64, 128), N_ref=256, dt=2.5e-8, t_end=1e-6):
+def spatial_convergence():
     """Refine the grid at a fixed tiny time step."""
-    for N in Ns:
-        if N_ref % N:
-            raise ValueError("reference grid must refine every study grid")
-    reference = _final_state(N_ref, dt, t_end)
-    return _study(Ns, lambda N: _final_state(N, dt, t_end), reference)
+    reference = _final_state(SPATIAL_N_REF, SPATIAL_DT, SPATIAL_T_END)
+    return _study(SPATIAL_NS,
+                  lambda N: _final_state(N, SPATIAL_DT, SPATIAL_T_END), reference)
 
 
-def temporal_convergence(dts=(4e-6, 2e-6, 1e-6), dt_ref=1.25e-7, N=48,
-                         t_end=4e-5):
+def temporal_convergence():
     """Refine the time step on a fixed grid."""
-    reference = _final_state(N, dt_ref, t_end)
-    return _study(dts, lambda dt: _final_state(N, dt, t_end), reference)
+    reference = _final_state(TEMPORAL_N, TEMPORAL_DT_REF, TEMPORAL_T_END)
+    return _study(TEMPORAL_DTS,
+                  lambda dt: _final_state(TEMPORAL_N, dt, TEMPORAL_T_END), reference)

@@ -54,16 +54,6 @@ class CompatReport:
         return [r for r in self.records if not r.passed]
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Quartic symbol roots tau^4 = -p / D_i^4, split by imaginary sign."""
-
-    p: complex
-    radii: np.ndarray  # (q,)
-    roots_pos: np.ndarray  # (q, 2), Im > 0
-    roots_neg: np.ndarray  # (q, 2), Im < 0
-
-
 def _norms(vectors):
     # a dot product per vector, rounded as np.linalg.norm of that one vector
     return np.sqrt(np.vecdot(vectors, vectors))
@@ -144,30 +134,25 @@ def parabolicity_margin(speeds):
     return float(np.min(1.0 / speeds))**4
 
 
-def positive_roots(p, D):
-    """Roots of tau^4 = -p/D_i^4 grouped by the sign of their imaginary part."""
+def root_radii(p, D):
+    """Radii |p|^(1/4) / D_i of the roots of the symbols tau^4 = -p / D_i^4."""
     p = complex(p)
     if p == 0 or p.real < 0:
         raise ValueError("p must satisfy Re p >= 0 and p != 0")
     D = np.atleast_1d(np.asarray(D, dtype=float))
     if np.any(D <= 0):
         raise ValueError("all coefficients D must be positive")
-    theta = cmath.phase(p)
-    radii = abs(p)**0.25 / D
-    # angles (theta + k pi) / 4: k = 1, 3 above the real axis, k = 5, 7 below
-    angles = (theta + np.pi * np.array([1.0, 3.0, 5.0, 7.0])) / 4.0
-    roots = radii[:, None] * np.exp(1j * angles)
-    return RootSet(p=p, radii=radii, roots_pos=roots[:, :2], roots_neg=roots[:, 2:])
+    return abs(p)**0.25 / D
 
 
 def _complementary_matrix(tangents, D, p):
     # rows (second-order or concurrency block, curve, component); columns
     # q-1 concurrency blocks, q second-order blocks and the v-block of the
     # third-order unknowns, n components each
-    roots = positive_roots(p, D)
+    radii = root_radii(p, D)
     t = np.atleast_2d(np.asarray(tangents, dtype=float))
     q, n = t.shape
-    theta = cmath.phase(roots.p)
+    theta = cmath.phase(complex(p))
     # E_i = D_i^3 (I - T_i T_i^T), symmetric: its row k is its column k
     e_mats = junction.projectors(t, D)
     c_quarter = np.exp(1j * theta / 4.0) / np.sqrt(2.0)
@@ -179,8 +164,8 @@ def _complementary_matrix(tangents, D, p):
     mat[0, curves, :, q - 1 + curves] = eye
     mat[1, 0, :, :q - 1] = eye[:, None]
     mat[1, curves[1:], :, curves[:-1]] -= eye
-    mat[0, :, :, -1] -= (roots.radii * c_quarter)[:, None, None] * e_mats
-    mat[1, :, :, -1] += ((junction.powers(roots.radii, 3)
+    mat[0, :, :, -1] -= (radii * c_quarter)[:, None, None] * e_mats
+    mat[1, :, :, -1] += ((junction.powers(radii, 3)
                           * c_three_quarter)[:, None, None] * e_mats)
     return mat.reshape(2 * q * n, 2 * q * n)
 

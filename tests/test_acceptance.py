@@ -232,6 +232,11 @@ def test_09_convergence_orders():
     spatial = studies.spatial_convergence()
     temporal = studies.temporal_convergence()
     elapsed = time.monotonic() - start
+    assert spatial.levels == studies.SPATIAL_NS
+    assert temporal.levels == studies.TEMPORAL_DTS
+    for result in (spatial, temporal):
+        assert all(a > b for a, b in zip(result.errors, result.errors[1:]))
+        assert result.order == min(result.rates)
     assert spatial.order >= 1.9
     assert temporal.order >= 0.9
     assert elapsed <= 300.0

@@ -145,9 +145,8 @@ def test_singular_step_is_a_step_error():
     # step taken past the preflight fails in its first factorization
     state, params = fixtures.collinear_bad(N=32)
     config = SolverConfig(dt=1e-6, t_end=2e-6)
-    with pytest.raises(StepError, match="cannot be factored") as exc_info:
+    with pytest.raises(StepError, match="cannot be factored"):
         solver.picard_step(state, params, config)
-    assert exc_info.value.time == 1e-6
 
 
 def test_guard_trip_is_a_regularity_error_with_time_and_partial_trajectory(monkeypatch):
@@ -416,8 +415,8 @@ def test_cached_column_order_factors_like_default_superlu(network):
     assert (lu.L.nnz, lu.U.nnz) == (reference.L.nnz, reference.U.nnz)
     identity = np.arange(matrix.shape[0])
     rhs = np.random.default_rng(3).standard_normal(state.nodes.shape)
-    assert np.array_equal(solver._solve(matrix, lu, perm_c, rhs, 0.0),
-                          solver._solve(matrix, reference, identity, rhs, 0.0))
+    assert np.array_equal(solver._solve(matrix, lu, perm_c, rhs),
+                          solver._solve(matrix, reference, identity, rhs))
 
 
 def _fresh_step_rhs(start_bundle, current_bundle, base, params, dt):
@@ -494,9 +493,8 @@ def test_wrong_factor_fails_the_residual_check():
     matrix, _, perm_c = _step_matrix_of(state, 1e-6)
     _, other, _ = _step_matrix_of(state, 1e-2)
     lu = sp.linalg.splu(other, permc_spec="NATURAL")
-    with pytest.raises(StepError, match="linear step residual") as exc_info:
-        solver._solve(matrix, lu, perm_c, np.ones(state.nodes.shape), 0.25)
-    assert exc_info.value.time == 0.25
+    with pytest.raises(StepError, match="linear step residual"):
+        solver._solve(matrix, lu, perm_c, np.ones(state.nodes.shape))
 
 
 def test_nan_in_the_linear_solve_is_a_step_error():
@@ -506,13 +504,12 @@ def test_nan_in_the_linear_solve_is_a_step_error():
     matrix, permuted, perm_c = _step_matrix_of(state, 1e-6)
     lu = sp.linalg.splu(permuted, permc_spec="NATURAL")
     rhs = np.ones(state.nodes.shape)
-    x = solver._solve(matrix, lu, perm_c, rhs, 0.25)
+    x = solver._solve(matrix, lu, perm_c, rhs)
     assert np.all(np.isfinite(x))
     assert np.max(np.abs(matrix @ x.ravel() - rhs.ravel())) <= 1e-8
     rhs[1, 7, 0] = np.nan
-    with pytest.raises(StepError, match="linear step residual nan") as exc_info:
-        solver._solve(matrix, lu, perm_c, rhs, 0.25)
-    assert exc_info.value.time == 0.25
+    with pytest.raises(StepError, match="linear step residual nan"):
+        solver._solve(matrix, lu, perm_c, rhs)
 
 
 def _failing_on_call(monkeypatch, call):
@@ -549,6 +546,54 @@ def test_regularity_error_mid_step_carries_time_and_partial_trajectory(
     assert err.trajectory[0] is state
     assert [frame.time for frame in err.trajectory] == [
         t for t in np.linspace(0.0, 1e-4, 11) if t < err.time]
+
+
+def _singular_factorization(monkeypatch):
+    # a collinear network never passes the preflight, so SuperLU's
+    # verdict on a singular matrix is stood in for
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(sp.linalg, "splu", singular)
+
+
+# each breaks the step after the first: (patch, error, message)
+STEP_FAILURES = {
+    "singular factorization": (_singular_factorization, StepError,
+                               "cannot be factored"),
+    # no residual is below a negative bound
+    "linear residual": (lambda mp: mp.setattr(solver, "LINEAR_RESIDUAL_TOL", -1.0),
+                        StepError, "linear step residual"),
+    "Picard stall": (lambda mp: (mp.setattr(solver, "PICARD_MAX", 1),
+                                 mp.setattr(solver, "PICARD_TOL", 0.0),
+                                 mp.setattr(solver, "PICARD_FLOOR", 0.0)),
+                     StepError, "Picard iteration stalled"),
+    "guard trip": (lambda mp: mp.setattr(solver, "GUARD_FACTOR", 2.0),
+                   RegularityError, "parabolicity margin"),
+    # the next build is of the second step's first Picard iterate
+    "Picard iterate": (lambda mp: _failing_on_call(mp, 1), RegularityError,
+                       "degenerate speed"),
+}
+
+
+@pytest.mark.parametrize("failure", STEP_FAILURES)
+def test_every_step_failure_carries_its_time_and_the_frames_before(
+        monkeypatch, failure):
+    patch, error, message = STEP_FAILURES[failure]
+    state, params = fixtures.triod_bent(N=32)
+    config = SolverConfig(dt=1e-5, t_end=1e-4)
+    times = np.linspace(0.0, 1e-4, 11)
+
+    def break_next_step(frame):
+        if frame.time == times[1]:
+            patch(monkeypatch)
+
+    with pytest.raises(error, match=message) as exc_info:
+        solver.evolve(state, params, config, observers=(break_next_step,))
+    err = exc_info.value
+    assert err.time == times[2]
+    assert err.trajectory[0] is state
+    assert [frame.time for frame in err.trajectory] == list(times[:2])
 
 
 def test_frame_times_are_linspace_from_a_nonzero_start():

@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -191,3 +192,62 @@ def test_every_public_name_is_used_outside_the_tests():
     unused = sorted(f"{module}.{name}" for module, names in definitions.values()
                     for name in names if not name.startswith("_"))
     assert unused == [], f"only tests use: {', '.join(unused)}"
+
+
+# defaulted parameters that stay although no module, demo or benchmark
+# file passes them: the acceptance criteria call these helpers with
+# their own values, and their defaults are the criteria's
+DEFAULTS_KEPT = {
+    "fixtures.circle",  # criterion 6
+    "diagnostics.first_variation_check",  # criterion 11
+}
+
+
+def _defaulted(function, skip=0):
+    # {name: position, or None if keyword-only} of the defaulted
+    # parameters of a def, past its first skip (self) parameters
+    args = function.args
+    positional = (args.posonlyargs + args.args)[skip:]
+    first = len(positional) - len(args.defaults)
+    found = {p.arg: k for k, p in enumerate(positional) if k >= first}
+    found.update({p.arg: None for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None})
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # a default that no caller overrides is a constant in disguise: make
+    # it one or pass it.  The public functions and class constructors of
+    # src/ are checked against every call of their name (by spelling) in
+    # src/, demos/ and the benchmark; a call passes a parameter by
+    # keyword, by position or through * or **.
+    passed = {}
+    for folder in (SRC, ROOT / "demos", PERFBENCH):
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                count, names = passed.get(name, (0, set()))
+                passed[name] = (max(count, math.inf if starred else len(node.args)),
+                                names | keywords)
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            name = getattr(statement, "name", "_")  # defs and classes only
+            if name.startswith("_") or f"{path.stem}.{name}" in DEFAULTS_KEPT:
+                continue
+            if isinstance(statement, ast.ClassDef):
+                inits = [f for f in statement.body
+                         if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+                parameters = _defaulted(inits[0], skip=1) if inits else {}
+            else:
+                parameters = _defaulted(statement)
+            count, names = passed.get(name, (0, set()))
+            unpassed += [f"{path.stem}.{name}({parameter})"
+                         for parameter, position in parameters.items()
+                         if parameter not in names and None not in names
+                         and (position is None or position >= count)]
+    assert unpassed == [], f"never passed outside the tests: {', '.join(unpassed)}"

@@ -88,38 +88,15 @@ def test_parabolicity_margin():
         wellposed.parabolicity_margin([np.array([1.0, np.nan, 1.0])])
 
 
-def test_positive_roots_reference_case():
-    # p = 1, D = 1: quarter-circle roots e^{i pi/4} and e^{3 i pi/4}
-    roots = wellposed.positive_roots(1.0, 1.0)
-    expected = np.exp(1j * np.array([np.pi / 4.0, 3.0 * np.pi / 4.0]))
-    assert np.allclose(roots.roots_pos[0], expected, atol=1e-14)
-    assert np.allclose(roots.roots_neg[0], -expected, atol=1e-14)
-    assert roots.radii[0] == pytest.approx(1.0)
-
-
-def test_positive_roots_are_quartic_roots_with_positive_imag():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        p = complex(rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0))
-        if p == 0:
-            continue
-        D = rng.uniform(0.3, 2.0, size=3)
-        roots = wellposed.positive_roots(p, D)
-        for i in range(3):
-            for tau in roots.roots_pos[i]:
-                assert tau.imag > 0
-                assert abs(D[i] ** 4 * tau**4 + p) < 1e-10 * abs(p)
-            for tau in roots.roots_neg[i]:
-                assert tau.imag < 0
-
-
-def test_positive_roots_validation():
+def test_root_radii_validation():
+    # p = 1, D = 1: the roots lie on the unit circle
+    assert wellposed.root_radii(1.0, 1.0)[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        wellposed.positive_roots(0.0, 1.0)
+        wellposed.root_radii(0.0, 1.0)
     with pytest.raises(ValueError):
-        wellposed.positive_roots(-1.0, 1.0)
+        wellposed.root_radii(-1.0, 1.0)
     with pytest.raises(ValueError):
-        wellposed.positive_roots(1.0, 0.0)
+        wellposed.root_radii(1.0, 0.0)
 
 
 def _random_tangents(rng, collinear):
