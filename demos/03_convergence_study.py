@@ -22,6 +22,6 @@ for dt, err in zip(temporal.levels, temporal.errors):
 print(f"  fitted orders between levels: "
       + ", ".join(f"{r:.2f}" for r in temporal.rates))
 
-assert spatial.order >= 1.9
-assert temporal.order >= 0.9
+assert spatial.order >= studies.SPATIAL_MIN_ORDER
+assert temporal.order >= studies.TEMPORAL_MIN_ORDER
 print("orders meet the expected second-order space / first-order time rates")

@@ -64,17 +64,15 @@ def _run_command(command):
 
 def cmd_check(args):
     state, params = _load(io.load_network, args.network, "network")
-    failed = False
-
     try:
         bundle = geometry.finite_differences(state)
     except RegularityError as err:  # names the curve and the node
         print(f"[FAIL] {err}")
         return EXIT_INVALID
-    report = wellposed.check_compat_order0(state, params, bundle=bundle)
-    for rec in report.records:
+    failed = False
+    for rec in wellposed.check_compat_order0(state, params, bundle):
         print(f"[{'ok ' if rec.passed else 'FAIL'}] {rec}")
-    failed |= not report.passed
+        failed |= not rec.passed
 
     if state.q >= 2:
         tangents = junction.tangents(bundle)
@@ -127,11 +125,9 @@ def cmd_simulate(args, state, params, config):
 
 def cmd_convergence(args):
     if args.mode == "spatial":
-        result = studies.spatial_convergence()
-        threshold = 1.9
+        result, threshold = studies.spatial_convergence(), studies.SPATIAL_MIN_ORDER
     else:
-        result = studies.temporal_convergence()
-        threshold = 0.9
+        result, threshold = studies.temporal_convergence(), studies.TEMPORAL_MIN_ORDER
     for level, err in zip(result.levels, result.errors):
         print(f"level {level:g}: error {err:.6e}")
     print(f"observed order: {result.order:.3f}")
@@ -211,7 +207,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:  # a file that cannot be read or written
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -16,9 +16,6 @@ from . import geometry, wellposed
 MAX_CSV_SLICES = 200
 # step of the central difference in the first-variation check
 VARIATION_EPS = 1e-5
-# boundary_residuals key of each wellposed.order0_residuals entry
-RESIDUAL_NAMES = {"endpoint": "endpoint-pin", "second_derivative": "second-derivative",
-                  "concurrency": "concurrency", "third_order_sum": "third-order-sum"}
 
 
 def _energies(bundle, lam, h):
@@ -90,9 +87,8 @@ def boundary_residuals(state, params, bundle=None):
     """
     if bundle is None:
         bundle = geometry.finite_differences(state)
-    table = wellposed.order0_residuals(state, params, bundle)
-    return {key: float(np.max(table[name], initial=0.0))
-            for key, name in RESIDUAL_NAMES.items()}
+    return {key: float(np.max(value, initial=0.0)) for key, value
+            in wellposed.order0_residuals(state, params, bundle).items()}
 
 
 @dataclass(frozen=True)

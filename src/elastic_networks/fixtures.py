@@ -13,6 +13,15 @@ def _spokes(dirs, N):
     return np.linspace(0.0, 1.0, N + 1)[:, None] * dirs[:, None, :]
 
 
+def _triod_frame():
+    """Unit directions of three spokes at 120 degrees, the first along +y,
+    and their normals (-d_y, d_x): two new (3, 2) arrays."""
+    angles = np.array([np.pi / 2.0, np.pi / 2.0 + 2.0 * np.pi / 3.0,
+                       np.pi / 2.0 + 4.0 * np.pi / 3.0])
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return dirs, np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
+
+
 def _bump_profile(N):
     """Smooth interior bump whose discrete end stencils vanish exactly.
 
@@ -48,9 +57,7 @@ def triod_equilibrium(N=DEFAULT_N, lam=1.0):
     The spokes are flat and the tangents sum to zero, so with equal length
     penalties this network is a steady state of the flow.
     """
-    angles = np.array([np.pi / 2.0, np.pi / 2.0 + 2.0 * np.pi / 3.0,
-                       np.pi / 2.0 + 4.0 * np.pi / 3.0])
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    dirs, _ = _triod_frame()
     params = FlowParams(endpoints=dirs, lam=np.full(3, float(lam)))
     return NetworkState(_spokes(dirs, N)), params
 
@@ -64,10 +71,8 @@ def triod_bent(N=DEFAULT_N, lam=1.0, amplitude=0.05):
     but it is no longer stationary.
     """
     state, params = triod_equilibrium(N=N, lam=lam)
-    bump = _bump_profile(N)
-    tangents = [t / np.linalg.norm(t) for t in state.nodes[:, -1] - state.nodes[:, 0]]
-    normals = np.array([[-t[1], t[0]] for t in tangents])
-    bow = amplitude * bump[:, None] * normals[:, None, :]
+    _, normals = _triod_frame()
+    bow = amplitude * _bump_profile(N)[:, None] * normals[:, None, :]
     return NetworkState(state.nodes + bow), params
 
 
@@ -91,10 +96,7 @@ def triod_bent_skewed(N=DEFAULT_N, skew=0.4):
     chi = (grid + skew * primitive(grid)) / (1.0 + skew * primitive(1.0))
     chi[0], chi[-1] = 0.0, 1.0
 
-    angles = np.array([np.pi / 2.0, np.pi / 2.0 + 2.0 * np.pi / 3.0,
-                       np.pi / 2.0 + 4.0 * np.pi / 3.0])
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
+    dirs, normals = _triod_frame()
     nodes = (chi[:, None] * dirs[:, None, :]
              + 0.05 * bump_poly(chi)[:, None] * normals[:, None, :])
     params = FlowParams(endpoints=dirs, lam=np.ones(3))

@@ -92,7 +92,7 @@ def save_config(path, config):
 
 def load_config(path):
     with open(path) as fh:
-        data = json.load(fh)
+        data = _require(json.load(fh), dict, "a config file")
     unknown = set(data) - set(SolverConfig.__dataclass_fields__)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")

@@ -333,9 +333,10 @@ def evolve(state, params, config, observers=(), preflight="strict"):
     if state.q >= 2 and junction.span_dimension(junction.tangents(bundle)) < 2:
         raise NonCollinearError("non-collinearity condition (NC) violated: "
                                 "the junction tangents are collinear")
-    report = wellposed.check_compat_order0(state, params, bundle=bundle)
-    if not report.passed:
-        lines = ", ".join(str(r) for r in report.failing())
+    failing = [r for r in wellposed.check_compat_order0(state, params, bundle)
+               if not r.passed]
+    if failing:
+        lines = ", ".join(str(r) for r in failing)
         if preflight == "strict":
             raise ConfigurationError(
                 f"initial network violates the boundary conditions: {lines}"

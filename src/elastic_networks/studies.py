@@ -21,6 +21,9 @@ TEMPORAL_DTS = (4e-6, 2e-6, 1e-6)
 TEMPORAL_DT_REF = 1.25e-7
 TEMPORAL_N = 48
 TEMPORAL_T_END = 4e-5
+# the least observed orders that pass: second order in space, first in time
+SPATIAL_MIN_ORDER = 1.9
+TEMPORAL_MIN_ORDER = 0.9
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,12 @@ of the complementary (Lopatinskii) condition at the junction.
 """
 
 import cmath
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, junction
-from .errors import RegularityError
-from .geometry import SPEED_FLOOR
+from . import junction
 
 DEFAULT_TOL = 1e-8
 
@@ -20,8 +19,7 @@ DEFAULT_TOL = 1e-8
 @dataclass(frozen=True)
 class CompatRecord:
     condition: str
-    curve: int  # -1 for network-wide conditions
-    endpoint: int  # 0, 1, or -1 when not tied to one end
+    where: str  # "curve 1, end 1", "junction" or "junction, curves 1 and 2"
     residual: float
     tol: float
 
@@ -30,28 +28,7 @@ class CompatRecord:
         return self.residual <= self.tol
 
     def __str__(self):
-        """condition[where] = residual (tol ...), where names the curve and
-        end, the junction, or for a match both curves at the junction."""
-        name, pair, curves = self.condition.partition("[")
-        if pair:  # "fourth-derivative-match[i,j]"
-            where = f"junction, curves {curves[:-1].replace(',', ' and ')}"
-        elif self.curve == -1:
-            where = "junction" if self.endpoint == 0 else "network"
-        else:
-            where = f"curve {self.curve}, end {self.endpoint}"
-        return f"{name}[{where}] = {self.residual:.3e} (tol {self.tol:.3e})"
-
-
-@dataclass(frozen=True)
-class CompatReport:
-    records: list
-
-    @property
-    def passed(self):
-        return all(r.passed for r in self.records)
-
-    def failing(self):
-        return [r for r in self.records if not r.passed]
+        return f"{self.condition}[{self.where}] = {self.residual:.3e} (tol {self.tol:.3e})"
 
 
 def _norms(vectors):
@@ -62,76 +39,72 @@ def _norms(vectors):
 def order0_residuals(network, params, bundle):
     """Order-zero boundary residuals of a network, as arrays over its curves.
 
-    endpoint-pin (q,) at the outer ends, second-derivative (q, 2) at ends
-    0 and 1, concurrency (q-1,) of curves 1.. with curve 0, and the norm
-    of the third-order junction sum (0.0 for one curve).  bundle is the
-    stacked derivative bundle of network.
+    endpoint (q,) pin errors at the outer ends, second_derivative (q, 2)
+    at ends 0 and 1, concurrency (q-1,) of curves 1.. with curve 0, and
+    third_order_sum the norm of the third-order junction sum (0.0 for one
+    curve).  bundle is the stacked derivative bundle of network.
     """
     nodes = network.nodes
     third = 0.0
     if network.q >= 2:
         third = float(np.linalg.norm(junction.third_order_sum(bundle, params.lam)))
     return {
-        "endpoint-pin": _norms(nodes[:, -1] - params.endpoints),
-        "second-derivative": _norms(bundle.d2[:, [0, -1]]),
+        "endpoint": _norms(nodes[:, -1] - params.endpoints),
+        "second_derivative": _norms(bundle.d2[:, [0, -1]]),
         "concurrency": _norms(nodes[1:, 0] - nodes[0, 0]),
-        "third-order-sum": third,
+        "third_order_sum": third,
     }
 
 
-def _report(rows):
-    # rows of (condition, curve, endpoint, residual, tol), numpy scalars allowed
-    return CompatReport([CompatRecord(c, int(i), end, float(r), float(t))
-                         for c, i, end, r, t in rows])
-
-
-def check_compat_order0(network, params, bundle=None):
-    """Residuals of the order-zero compatibility conditions.
+def check_compat_order0(network, params, bundle):
+    """Records of the order-zero compatibility conditions, in the order
+    elastic-networks check prints them.
 
     Those of order0_residuals, f''''/|f'|^4 at the outer ends (both ends
     of a single curve) and its pairwise match at the junction.  bundle is
-    the stacked derivative bundle of network, if already built.
+    the stacked derivative bundle of network.
     """
-    if bundle is None:
-        bundle = geometry.finite_differences(network)
     q, h = network.q, 1.0 / network.N
     res = order0_residuals(network, params, bundle)
+    pins, second = res["endpoint"].tolist(), res["second_derivative"].tolist()
     scale2 = 1.0 + junction.powers(np.max(bundle.speed, axis=1), 2)
+    tol2 = (DEFAULT_TOL * scale2).tolist()
     # rounding in the one-sided stencil is amplified by 1/h^4, so the
     # fourth-derivative conditions carry an explicit float-cancellation floor
     peaks = np.max(np.abs(network.nodes), axis=(1, 2))
     floors4 = 100.0 * np.finfo(float).eps * peaks / h**4
     speed4 = junction.powers(bundle.speed[:, [0, -1]], 4)
     r4 = _norms(bundle.d4[:, [0, -1]]) / speed4
-    tol4 = DEFAULT_TOL * (1.0 + r4) + floors4[:, None] / speed4
+    tol4 = (DEFAULT_TOL * (1.0 + r4) + floors4[:, None] / speed4).tolist()
+    r4 = r4.tolist()
 
-    rows = []
+    records = []
     for i in range(q):
-        rows.append(("endpoint-pin", i, 1, res["endpoint-pin"][i], DEFAULT_TOL))
-        rows += [("second-derivative", i, end, res["second-derivative"][i, end],
-                  DEFAULT_TOL * scale2[i]) for end in (0, 1)]
-        rows += [("fourth-derivative", i, end, r4[i, end], tol4[i, end])
-                 for end in ((1, 0) if q == 1 else (1,))]
+        records.append(CompatRecord("endpoint-pin", f"curve {i}, end 1", pins[i], DEFAULT_TOL))
+        records += [CompatRecord("second-derivative", f"curve {i}, end {end}",
+                                 second[i][end], tol2[i]) for end in (0, 1)]
+        records += [CompatRecord("fourth-derivative", f"curve {i}, end {end}",
+                                 r4[i][end], tol4[i][end])
+                    for end in ((1, 0) if q == 1 else (1,))]
     if q >= 2:
-        rows += [("concurrency", i, 0, r, DEFAULT_TOL)
-                 for i, r in enumerate(res["concurrency"], start=1)]
-        rows.append(("third-order-sum", -1, 0, res["third-order-sum"], DEFAULT_TOL * q))
+        records += [CompatRecord("concurrency", f"curve {i}, end 0", r, DEFAULT_TOL)
+                    for i, r in enumerate(res["concurrency"].tolist(), start=1)]
+        records.append(CompatRecord("third-order-sum", "junction",
+                                    res["third_order_sum"], DEFAULT_TOL * q))
         accel = bundle.d4[:, 0] / speed4[:, :1]
         floors = floors4 / speed4[:, 0]
         sizes = _norms(accel)
-        rows += [(f"fourth-derivative-match[{i},{j}]", i, 0,
-                  _norms(accel[i] - accel[j]),
-                  DEFAULT_TOL * (1.0 + max(sizes[i], sizes[j])) + floors[i] + floors[j])
-                 for i, j in zip(*np.triu_indices(q, k=1))]
-    return _report(rows)
+        records += [CompatRecord(
+            "fourth-derivative-match", f"junction, curves {i} and {j}",
+            float(_norms(accel[i] - accel[j])),
+            float(DEFAULT_TOL * (1.0 + max(sizes[i], sizes[j])) + floors[i] + floors[j]))
+            for i, j in itertools.combinations(range(q), 2)]
+    return records
 
 
 def parabolicity_margin(speeds):
     """Fourth power of the smallest coefficient 1/|f'| over the network."""
-    speeds = np.asarray(speeds, dtype=float)
-    if not np.all(speeds >= SPEED_FLOOR):  # NaN included
-        raise RegularityError("nonpositive speed in parabolicity margin")
-    return float(np.min(1.0 / speeds))**4
+    return float(np.min(1.0 / np.asarray(speeds, dtype=float)))**4
 
 
 def root_radii(p, D):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from elastic_networks import cli, fixtures, geometry, io, repar, wellposed
+from elastic_networks import cli, fixtures, geometry, io, repar, studies, wellposed
 from elastic_networks.errors import ConfigurationError, DiffeoBreakdownError
 from elastic_networks.geometry import NetworkState
 from elastic_networks.solver import SolverConfig
@@ -122,6 +122,22 @@ def test_network_file_holding_a_list_is_invalid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert exc_info.value.code == cli.EXIT_INVALID
     assert "invalid network file" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", ["abc", [], None, 5],
+                         ids=["string", "list", "null", "number"])
+def test_config_file_that_is_no_object_is_invalid(tmp_path, capsys, data):
+    net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
+    path = str(tmp_path / "config.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["simulate", "--network", net, "--config", path,
+                  "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert exc_info.value.code == cli.EXIT_INVALID
+    assert "invalid config file: a config file must be a JSON object" in err
     assert "Traceback" not in err
 
 
@@ -275,6 +291,32 @@ def test_unparsable_network_is_io_error(tmp_path):
     assert exc_info.value.code == cli.EXIT_IO
 
 
+def test_simulate_output_below_a_file_is_io_error(tmp_path, capsys):
+    net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
+    config = _write_config(tmp_path, dt=1e-5, t_end=2e-5)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code = cli.main(["simulate", "--network", net, "--config", config,
+                     "--out", str(afile / "run")])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_convergence_output_in_a_missing_directory_is_io_error(tmp_path, capsys,
+                                                                monkeypatch):
+    result = studies.StudyResult(levels=(32, 64), errors=(1e-3, 2.5e-4), rates=(2.0,))
+    monkeypatch.setattr(studies, "spatial_convergence", lambda: result)
+    code = cli.main(["convergence", "--out", str(tmp_path / "nodir" / "x.json")])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_network_path_that_is_a_directory_is_io_error(tmp_path, capsys):
+    code = cli.main(["check", "--network", str(tmp_path)])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_subcommand_is_parse_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["frobnicate"])
@@ -373,7 +415,8 @@ def test_check_prints_one_rendering_per_record(tmp_path, capsys):
     path = _write_network(tmp_path, "net.json", (state, params))
     cli.main(["check", "--network", path])
     lines = capsys.readouterr().out.splitlines()
-    records = wellposed.check_compat_order0(state, params).records
+    records = wellposed.check_compat_order0(state, params,
+                                            geometry.finite_differences(state))
     assert lines[:len(records)] == [f"[ok ] {rec}" for rec in records]
     assert "[ok ] third-order-sum[junction] = " in lines[len(records) - 4]
     assert lines[len(records) - 1].startswith(

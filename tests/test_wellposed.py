@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from elastic_networks import fixtures, geometry, junction, wellposed
-from elastic_networks.errors import RegularityError
 from elastic_networks.geometry import CurveSamples
 from elastic_networks.solver import NetworkState
+
+
+def _records(state, params):
+    return wellposed.check_compat_order0(state, params,
+                                         geometry.finite_differences(state))
+
+
+def _failing(state, params):
+    return {r.condition for r in _records(state, params) if not r.passed}
 
 
 def test_order0_accepts_admissible_fixtures():
@@ -16,8 +24,8 @@ def test_order0_accepts_admissible_fixtures():
                           fixtures.triod_bent(N=64),
                           fixtures.q4_spatial(N=48),
                           fixtures.single_clamped(N=48)):
-        report = wellposed.check_compat_order0(state, params)
-        assert report.passed, report.failing()
+        records = _records(state, params)
+        assert all(r.passed for r in records), [r for r in records if not r.passed]
 
 
 def test_order0_detects_moved_endpoint():
@@ -25,9 +33,7 @@ def test_order0_detects_moved_endpoint():
     nodes = state.curves[0].nodes.copy()
     nodes[-1] += [0.0, 1e-3]
     bad = NetworkState([CurveSamples(nodes)] + list(state.curves[1:]))
-    report = wellposed.check_compat_order0(bad, params)
-    failing = {r.condition for r in report.failing()}
-    assert "endpoint-pin" in failing
+    assert "endpoint-pin" in _failing(bad, params)
 
 
 def test_order0_detects_broken_concurrency():
@@ -35,9 +41,7 @@ def test_order0_detects_broken_concurrency():
     nodes = state.curves[1].nodes.copy()
     nodes[0] += [1e-4, 0.0]
     bad = NetworkState([state.curves[0], CurveSamples(nodes), state.curves[2]])
-    report = wellposed.check_compat_order0(bad, params)
-    failing = {r.condition for r in report.failing()}
-    assert "concurrency" in failing
+    assert "concurrency" in _failing(bad, params)
 
 
 def test_order0_detects_curved_end():
@@ -47,9 +51,7 @@ def test_order0_detects_curved_end():
     x = np.linspace(0.0, 1.0, 49)
     nodes[:, 1] += 0.01 * x**2
     bad = NetworkState([CurveSamples(nodes)])
-    report = wellposed.check_compat_order0(bad, params)
-    failing = {r.condition for r in report.failing()}
-    assert "second-derivative" in failing
+    assert "second-derivative" in _failing(bad, params)
 
 
 def test_order0_detects_unbalanced_junction():
@@ -58,21 +60,18 @@ def test_order0_detects_unbalanced_junction():
     from elastic_networks.solver import FlowParams
     unbalanced = FlowParams(endpoints=params.endpoints,
                             lam=np.array([1.0, 1.0, 3.0]))
-    report = wellposed.check_compat_order0(state, unbalanced)
-    failing = {r.condition for r in report.failing()}
-    assert "third-order-sum" in failing
+    assert "third-order-sum" in _failing(state, unbalanced)
 
 
 def test_record_rendering_names_where_each_condition_applies():
-    def rendered(condition, curve, endpoint):
-        return str(wellposed.CompatRecord(condition, curve, endpoint, 2.5e-3, 1e-8))
+    def rendered(condition, where):
+        return str(wellposed.CompatRecord(condition, where, 2.5e-3, 1e-8))
 
-    assert rendered("endpoint-pin", 1, 1) == (
+    assert rendered("endpoint-pin", "curve 1, end 1") == (
         "endpoint-pin[curve 1, end 1] = 2.500e-03 (tol 1.000e-08)")
-    assert rendered("third-order-sum", -1, 0).startswith("third-order-sum[junction] = ")
-    assert rendered("order0-prerequisite", -1, -1).startswith(
-        "order0-prerequisite[network] = ")
-    assert rendered("fourth-derivative-match[0,2]", 0, 0).startswith(
+    assert rendered("third-order-sum", "junction").startswith(
+        "third-order-sum[junction] = ")
+    assert rendered("fourth-derivative-match", "junction, curves 0 and 2").startswith(
         "fourth-derivative-match[junction, curves 0 and 2] = ")
 
 
@@ -82,10 +81,6 @@ def test_parabolicity_margin():
     # the minimum is taken across all curves
     assert wellposed.parabolicity_margin(
         [np.full(5, 1.0), np.full(5, 2.0)]) == pytest.approx(1.0 / 16.0)
-    with pytest.raises(RegularityError):
-        wellposed.parabolicity_margin([np.array([1.0, 0.0, 1.0])])
-    with pytest.raises(RegularityError):
-        wellposed.parabolicity_margin([np.array([1.0, np.nan, 1.0])])
 
 
 def test_root_radii_validation():
@@ -124,37 +119,38 @@ def test_junction_complementary_matches_span_criterion():
 
 
 def _order0_sequence(q):
-    # (condition, curve, endpoint) of every order-zero record, in report order
+    # (condition, where) of every per-curve order-zero record, in list order
     rows = []
     for i in range(q):
-        rows += [("endpoint-pin", i, 1), ("second-derivative", i, 0),
-                 ("second-derivative", i, 1), ("fourth-derivative", i, 1)]
+        rows += [("endpoint-pin", f"curve {i}, end 1"),
+                 ("second-derivative", f"curve {i}, end 0"),
+                 ("second-derivative", f"curve {i}, end 1"),
+                 ("fourth-derivative", f"curve {i}, end 1")]
     return rows
+
+
+def _places(state, params):
+    return [(r.condition, r.where) for r in _records(state, params)]
 
 
 def test_order0_record_sequence_is_pinned():
     # the order elastic-networks check prints
-    state, params = fixtures.single_clamped(N=48)
-    assert [(r.condition, r.curve, r.endpoint)
-            for r in wellposed.check_compat_order0(state, params).records] == [
-        ("endpoint-pin", 0, 1), ("second-derivative", 0, 0),
-        ("second-derivative", 0, 1), ("fourth-derivative", 0, 1),
-        ("fourth-derivative", 0, 0)]
-    state, params = fixtures.triod_bent(N=48)
-    assert [(r.condition, r.curve, r.endpoint)
-            for r in wellposed.check_compat_order0(state, params).records] == (
+    assert _places(*fixtures.single_clamped(N=48)) == [
+        ("endpoint-pin", "curve 0, end 1"), ("second-derivative", "curve 0, end 0"),
+        ("second-derivative", "curve 0, end 1"), ("fourth-derivative", "curve 0, end 1"),
+        ("fourth-derivative", "curve 0, end 0")]
+    assert _places(*fixtures.triod_bent(N=48)) == (
         _order0_sequence(3)
-        + [("concurrency", 1, 0), ("concurrency", 2, 0), ("third-order-sum", -1, 0),
-           ("fourth-derivative-match[0,1]", 0, 0),
-           ("fourth-derivative-match[0,2]", 0, 0),
-           ("fourth-derivative-match[1,2]", 1, 0)])
-    state, params = fixtures.q4_spatial(N=48)
-    assert [(r.condition, r.curve, r.endpoint)
-            for r in wellposed.check_compat_order0(state, params).records] == (
+        + [("concurrency", "curve 1, end 0"), ("concurrency", "curve 2, end 0"),
+           ("third-order-sum", "junction"),
+           ("fourth-derivative-match", "junction, curves 0 and 1"),
+           ("fourth-derivative-match", "junction, curves 0 and 2"),
+           ("fourth-derivative-match", "junction, curves 1 and 2")])
+    assert _places(*fixtures.q4_spatial(N=48)) == (
         _order0_sequence(4)
-        + [("concurrency", 1, 0), ("concurrency", 2, 0), ("concurrency", 3, 0),
-           ("third-order-sum", -1, 0)]
-        + [(f"fourth-derivative-match[{i},{j}]", i, 0)
+        + [("concurrency", "curve 1, end 0"), ("concurrency", "curve 2, end 0"),
+           ("concurrency", "curve 3, end 0"), ("third-order-sum", "junction")]
+        + [("fourth-derivative-match", f"junction, curves {i} and {j}")
            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))])
 
 
@@ -164,25 +160,25 @@ def test_order0_records_read_the_residual_table():
     state = NetworkState(nodes)
     table = wellposed.order0_residuals(state, params,
                                        geometry.finite_differences(state))
-    records = wellposed.check_compat_order0(state, params).records
-    by_key = {(r.condition, r.curve, r.endpoint): r.residual for r in records}
+    by_key = {(r.condition, r.where): r.residual for r in _records(state, params)}
     for i in range(3):
-        assert by_key["endpoint-pin", i, 1] == np.linalg.norm(
-            nodes[i, -1] - params.endpoints[i])
-        assert by_key["endpoint-pin", i, 1] == table["endpoint-pin"][i]
+        pin = by_key["endpoint-pin", f"curve {i}, end 1"]
+        assert pin == np.linalg.norm(nodes[i, -1] - params.endpoints[i])
+        assert pin == table["endpoint"][i]
         for end in (0, 1):
-            assert (by_key["second-derivative", i, end]
-                    == table["second-derivative"][i, end])
+            assert (by_key["second-derivative", f"curve {i}, end {end}"]
+                    == table["second_derivative"][i, end])
     for i in (1, 2):
-        assert by_key["concurrency", i, 0] == table["concurrency"][i - 1]
-        assert by_key["concurrency", i, 0] == np.linalg.norm(nodes[i, 0] - nodes[0, 0])
-    assert by_key["third-order-sum", -1, 0] == table["third-order-sum"]
-    assert table["third-order-sum"] > 0.0
+        assert by_key["concurrency", f"curve {i}, end 0"] == table["concurrency"][i - 1]
+        assert by_key["concurrency", f"curve {i}, end 0"] == np.linalg.norm(
+            nodes[i, 0] - nodes[0, 0])
+    assert by_key["third-order-sum", "junction"] == table["third_order_sum"]
+    assert table["third_order_sum"] > 0.0
     single, single_params = fixtures.single_clamped(N=48)
     table = wellposed.order0_residuals(single, single_params,
                                        geometry.finite_differences(single))
     assert table["concurrency"].shape == (0,)
-    assert table["third-order-sum"] == 0.0
+    assert table["third_order_sum"] == 0.0
 
 
 def _loop_complementary_matrix(tangents, D, p):
