@@ -34,7 +34,7 @@ for name, (state, params) in (
         coeffs = 1.0 / bundle.speed[:, 0]
         verdicts = [
             wellposed.junction_complementary(tangents, coeffs, p)
-            for p in (1.0, 1.0j, 1.0 + 1.0j)
+            for p in wellposed.SPECTRAL_PARAMETERS
         ]
         print(f"complementary condition at the junction: "
               f"{'ok' if all(verdicts) else 'FAIL'}")

@@ -35,7 +35,7 @@ def _load(loader, path, kind):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"error: cannot parse {kind} file: {err}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
     except (ConfigurationError, KeyError, TypeError) as err:
@@ -84,10 +84,8 @@ def cmd_check(args):
             failed = True
         else:
             coeffs = 1.0 / bundle.speed[:, 0]
-            lop = all(
-                wellposed.junction_complementary(tangents, coeffs, p)
-                for p in (1.0, 1.0j, 1.0 + 1.0j)
-            )
+            lop = all(wellposed.junction_complementary(tangents, coeffs, p)
+                      for p in wellposed.SPECTRAL_PARAMETERS)
             print(f"[{'ok ' if lop else 'FAIL'}] junction complementary condition")
             failed |= not lop
 
@@ -151,6 +149,15 @@ def cmd_equivalence(args, state, params, config):
     return EXIT_OK if certificate <= args.tol else EXIT_INVALID
 
 
+def _tolerance(text):
+    try:
+        if 0.0 <= float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+
+
 def _positive_int(text):
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
@@ -200,7 +207,7 @@ def build_parser():
                        help="geometric-equivalence certificate of two runs")
     p.add_argument("--network", required=True)
     p.add_argument("--config")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_tolerance, default=1e-3)
     p.set_defaults(func=cmd_equivalence)
     return parser
 

@@ -138,8 +138,9 @@ def records_to_csv(records):
 
 
 def records_from_csv(text):
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header, *rows = list(csv.reader(io.StringIO(text))) or [()]  # empty text: no header
     if tuple(header) != DiagnosticsRecord.FIELDS:
         raise ValueError("unexpected diagnostics CSV header")
-    return [DiagnosticsRecord(*[float(v) for v in row]) for row in reader]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("a diagnostics CSV row does not have one value per field")
+    return [DiagnosticsRecord(*map(float, row)) for row in rows]

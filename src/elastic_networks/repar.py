@@ -25,25 +25,22 @@ _NODE_GAPS = np.arange(4)[:, None] - _OTHER_NODES
 
 
 def resample(nodes, positions):
-    """Evaluate uniformly sampled curves or fields at arbitrary parameters.
+    """Evaluate uniformly sampled curves at arbitrary parameters.
 
     Uses the local cubic Lagrange interpolant on the four nearest nodes.
     positions has shape (..., M) with values in [0, 1]; nodes has shape
-    (..., N+1) for scalar fields or (..., N+1, n) for curves, where ...
-    are the leading axes of positions, so one call interpolates a stack
-    of fields, each at its own positions.  N is taken from nodes, so the
-    positions may come from another grid.
+    (..., N+1, n), where ... are the leading axes of positions, so one
+    call interpolates a stack of curves, each at its own positions; the
+    n columns may as well hold n fields sampled on the same grid.  N is
+    taken from nodes, so the positions may come from another grid.
     """
     y = np.clip(np.asarray(positions, dtype=float), 0.0, 1.0)
     v = np.asarray(nodes, dtype=float)
-    scalar_field = v.ndim == y.ndim
-    if scalar_field:
-        v = v[..., None]
     lead = y.shape[:-1]
-    if v.shape[:-2] != lead:
+    if v.ndim != y.ndim + 1 or v.shape[:-2] != lead:
         raise ConfigurationError(
-            f"nodes {np.shape(nodes)} do not match positions {y.shape} in their "
-            f"leading axes")
+            f"nodes {np.shape(nodes)} must be (..., N+1, n) with ... the leading "
+            f"axes of positions {y.shape}")
     N = v.shape[-2] - 1
     u = y * N
     k0 = np.clip(np.floor(u).astype(int) - 1, 0, N - 3)
@@ -58,7 +55,7 @@ def resample(nodes, positions):
     out = np.zeros(y.shape + v.shape[-1:])
     for m in range(4):
         out += terms[..., m, :]
-    return out[..., 0] if scalar_field else out
+    return out
 
 
 def arclength_map(speed, h):
@@ -155,36 +152,31 @@ def const_speed_reparam(curves):
     return resample(nodes, psi), phi
 
 
-def _tangential_speed_fields(state, lam):
-    """(phi_star, speed) samples of one stored frame, each shaped (q, N+1)."""
-    bundle = geometry.finite_differences(state)
-    return geometry.phi_star(bundle, lam[:, None]), bundle.speed
+def _fields(trajectory, lam):
+    """phi_star and speed of every stored frame, one (frames, q, N+1, 2) array."""
+    fields = np.empty((len(trajectory),) + trajectory[0].nodes.shape[:2] + (2,))
+    for frame, state in zip(fields, trajectory):
+        bundle = geometry.finite_differences(state)  # one frame's bundle at a time
+        frame[..., 0], frame[..., 1] = geometry.phi_star(bundle, lam[:, None]), bundle.speed
+    return fields
 
 
-def tangential_ode(times, fields_a, fields_b, phi0):
+def tangential_ode(times, fields_a, star_b, phi0):
     """Integrate the diffeomorphism ODE for all curves along stored frames.
 
-    fields_a and fields_b are per-frame pairs from _tangential_speed_fields
-    for the reference solution (evaluated at the warped parameter) and the
-    target solution (evaluated at the fixed parameter); the two runs may
-    sit on different grids.  phi0 holds the initial maps, shape (q, N+1),
-    sampled on the target's uniform grid.  Returns the (q, frames, N+1)
-    array of maps; endpoints stay pinned and monotonicity is enforced: a
-    breakdown is raised at the earliest frame at which any map fails,
-    naming the lowest-index curve that fails there.
+    fields_a (frames, q, N_a+1, 2), from _fields, is the reference run,
+    read at the warped parameter; star_b (frames, q, N+1) is the target
+    run's phi_star, read at its own nodes, so the grids may differ.  phi0
+    (q, N+1) holds the initial maps on the target's grid.  Returns the maps
+    (q, frames, N+1), ends pinned; the earliest frame at which a map loses
+    monotonicity raises a breakdown naming the lowest-index failing curve.
     """
     times = np.asarray(times, dtype=float)
     phi = np.array(phi0, dtype=float)
     history = [phi]
-    # b is read at the fixed grid, so its phi_star is interpolated up front:
-    # at every frame in one call and at every interval midpoint in another
-    star_b = np.stack([star for star, _ in fields_b])
-    grid = np.broadcast_to(np.linspace(0.0, 1.0, phi.shape[-1]), star_b.shape)
-    b_frames = resample(star_b, grid)
-    b_halves = resample(0.5 * star_b[:-1] + 0.5 * star_b[1:], grid[1:])
-    # a is read at the warped parameter: interpolate phi_star and speed
-    # together as one 2-column field
-    star_speed_a = [np.stack(pair, axis=-1) for pair in fields_a]
+    # the fields at each interval's midpoint, linear in time between frames
+    b_halves = 0.5 * star_b[:-1] + 0.5 * star_b[1:]
+    a_halves = 0.5 * fields_a[:-1] + 0.5 * fields_a[1:]
 
     def rate(b_vals, field_a, y_vals):
         star_speed = resample(field_a, y_vals)
@@ -192,14 +184,10 @@ def tangential_ode(times, fields_a, fields_b, phi0):
 
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
-        # linear interpolation between the two bracketing frames
-        a0, a_half, a1 = ((1.0 - weight) * star_speed_a[k]
-                          + weight * star_speed_a[k + 1]
-                          for weight in (0.0, 0.5, 1.0))
-        k1 = rate(b_frames[k], a0, phi)
-        k2 = rate(b_halves[k], a_half, np.clip(phi + 0.5 * dt * k1, 0.0, 1.0))
-        k3 = rate(b_halves[k], a_half, np.clip(phi + 0.5 * dt * k2, 0.0, 1.0))
-        k4 = rate(b_frames[k + 1], a1, np.clip(phi + dt * k3, 0.0, 1.0))
+        k1 = rate(star_b[k], fields_a[k], phi)
+        k2 = rate(b_halves[k], a_halves[k], np.clip(phi + 0.5 * dt * k1, 0.0, 1.0))
+        k3 = rate(b_halves[k], a_halves[k], np.clip(phi + 0.5 * dt * k2, 0.0, 1.0))
+        k4 = rate(star_b[k + 1], fields_a[k + 1], np.clip(phi + dt * k3, 0.0, 1.0))
         phi = phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         phi[:, 0], phi[:, -1] = 0.0, 1.0
         phi = np.clip(phi, 0.0, 1.0)
@@ -236,15 +224,15 @@ def geometric_equivalence(trajectory_a, trajectory_b, lam):
         raise ConfigurationError("trajectories must store matching times")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
 
-    fields_a = [_tangential_speed_fields(s, lam) for s in trajectory_a]
-    fields_b = [_tangential_speed_fields(s, lam) for s in trajectory_b]
+    fields_a, fields_b = _fields(trajectory_a, lam), _fields(trajectory_b, lam)
 
     # initial maps: match the normalized arclengths of the two initial
     # networks, from the speeds their frame-0 fields already hold
-    phi0 = inverse_map(arclength_map(fields_a[0][1], 1.0 / trajectory_a[0].N),
-                       arclength_map(fields_b[0][1], 1.0 / trajectory_b[0].N))
+    phi0 = inverse_map(arclength_map(fields_a[0, ..., 1], 1.0 / trajectory_a[0].N),
+                       arclength_map(fields_b[0, ..., 1], 1.0 / trajectory_b[0].N))
 
-    maps = tangential_ode(times, fields_a, fields_b, phi0)
+    maps = tangential_ode(times, fields_a, fields_b[..., 0], phi0)
+    del fields_a, fields_b  # freed before the final resample's temporaries: lower peak RSS
     # every curve of every frame in one call: (q, frames, N+1, n)
     nodes_a = np.stack([s.nodes for s in trajectory_a], axis=1)
     nodes_b = np.stack([s.nodes for s in trajectory_b], axis=1)

@@ -78,8 +78,10 @@ class SolverConfig:
     store_every: int = 1
 
     def __post_init__(self):
-        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
-            raise ConfigurationError("dt and t_end must be positive and finite")
+        for name, value in (("dt", self.dt), ("t_end", self.t_end)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < math.inf):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
         if (not isinstance(self.store_every, numbers.Integral)
                 or isinstance(self.store_every, bool) or self.store_every < 1):
             raise ConfigurationError("store_every must be an integer >= 1")

@@ -14,6 +14,7 @@ import numpy as np
 from . import junction
 
 DEFAULT_TOL = 1e-8
+SPECTRAL_PARAMETERS = (1.0, 1.0j, 1.0 + 1.0j)  # p at which check and demo 02 test the junction
 
 
 @dataclass(frozen=True)

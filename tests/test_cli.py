@@ -175,10 +175,11 @@ def test_config_roundtrip(tmp_path):
     {"delta_guard_factor": float("nan")}, {"picard_max": 1.5},
     {"store_every": 2.5}, {"store_every": True}, {"dt": "abc"}, {"picard_max": None},
     {"dt": 1e-300, "t_end": 1e10}, {"picard_tol": 1e-12},
+    {"dt": True, "t_end": 2}, {"dt": "1e-5"}, {"t_end": None},
 ], ids=["dt-nan", "dt-inf", "t_end-inf", "picard_tol-nan", "picard_floor-inf",
         "delta_guard_factor-nan", "picard_max-float", "store_every-float",
         "store_every-bool", "dt-string", "picard_max-null", "step-count-overflow",
-        "unknown-key"])
+        "unknown-key", "dt-bool", "dt-numeric-string", "t_end-null"])
 def test_invalid_config_values_are_rejected(tmp_path, capsys, fields):
     net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
     path = str(tmp_path / "config.json")
@@ -196,6 +197,11 @@ def test_invalid_config_values_are_rejected(tmp_path, capsys, fields):
     # solver constant, is named
     for key in set(fields) - set(SolverConfig.__dataclass_fields__):
         assert f"unknown config keys: [{key!r}]" in err
+    # so is a dt or t_end that is no positive finite number
+    for key in {"dt", "t_end"} & set(fields):
+        value = fields[key]
+        if isinstance(value, (bool, str, type(None))) or not 0 < value < float("inf"):
+            assert f"{key} must be positive and finite, got {value!r}" in err
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -289,6 +295,25 @@ def test_unparsable_network_is_io_error(tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["check", "--network", path])
     assert exc_info.value.code == cli.EXIT_IO
+
+
+@pytest.mark.parametrize("kind", ["network", "config"])
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind):
+    paths = {"network": _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32)),
+             "config": _write_config(tmp_path, dt=1e-5, t_end=2e-5)}
+    with open(paths[kind], "wb") as fh:
+        fh.write(b"\xff\xfe\x00bad")
+    out = str(tmp_path / "run")
+    argv = (["check", "--network", paths["network"]] if kind == "network" else
+            ["simulate", "--network", paths["network"], "--config", paths["config"],
+             "--out", out])
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc_info.value.code == cli.EXIT_IO
+    assert f"error: cannot parse {kind} file" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_simulate_output_below_a_file_is_io_error(tmp_path, capsys):
@@ -432,6 +457,17 @@ def test_equivalence_small_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "equivalence certificate" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
+def test_equivalence_rejects_a_tolerance_not_finite_and_nonnegative(tmp_path, capsys, tol):
+    net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
+    config = _write_config(tmp_path, dt=1e-5, t_end=2e-5)
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["equivalence", "--network", net, "--config", config, "--tol", tol])
+    assert exc_info.value.code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert f"argument --tol: must be a finite number >= 0, got {tol!r}" in err
 
 
 @pytest.mark.filterwarnings("ignore:incompatible initial network")

@@ -118,6 +118,18 @@ def test_records_roundtrip_through_csv():
         diagnostics.records_from_csv("a,b\n1,2\n")
 
 
+_HEADER = ",".join(diagnostics.DiagnosticsRecord.FIELDS)
+
+
+@pytest.mark.parametrize("text", [
+    "", f"{_HEADER}\n1.0,2.0\n", f"{_HEADER}\n{','.join(['1.0'] * 8)}\n",
+    f"{_HEADER}\n{','.join(['1.0'] * 7)}\n\n",
+], ids=["empty", "short-row", "long-row", "blank-row"])
+def test_malformed_diagnostics_csv_is_a_value_error(text):
+    with pytest.raises(ValueError):
+        diagnostics.records_from_csv(text)
+
+
 def test_decimate_keeps_ends_and_limit():
     state, params = fixtures.triod_equilibrium(N=32)
     rec = diagnostics.record_state(state, params)

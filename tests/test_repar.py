@@ -159,8 +159,6 @@ def test_resample_exact_on_cubics():
     out = repar.resample(nodes, y)
     assert np.allclose(out[:, 0], 1.0 + y - y**3, atol=1e-12)
     assert np.allclose(out[:, 1], y**2 + 0.5 * y**3, atol=1e-12)
-    # scalar fields keep their shape
-    assert repar.resample(x**2, y).shape == y.shape
 
 
 def test_arclength_map_exact_oracle():
@@ -215,9 +213,9 @@ def test_tangential_ode_identity_case():
     config = SolverConfig(dt=1e-5, t_end=1e-4)
     trajectory = solver.evolve(state, params, config)
     times = [s.time for s in trajectory]
-    fields = [repar._tangential_speed_fields(s, params.lam) for s in trajectory]
+    fields = repar._fields(trajectory, params.lam)
     grid = np.linspace(0.0, 1.0, 49)
-    history = repar.tangential_ode(times, fields, fields, np.tile(grid, (3, 1)))
+    history = repar.tangential_ode(times, fields, fields[..., 0], np.tile(grid, (3, 1)))
     assert history.shape == (3, len(trajectory), 49)
     assert np.max(np.abs(history - grid)) < 1e-12
 
@@ -227,20 +225,19 @@ def test_tangential_ode_breakdown_reported():
     # monotonicity within one step and must raise with the failure time
     N = 32
     grid = np.linspace(0.0, 1.0, N + 1)
-    speed = np.ones((1, N + 1))
+    # run a has phi_star 0 and speed 1 at both frames, (frames, q, N+1, 2)
+    fields_a = np.stack([np.zeros((2, 1, N + 1)), np.ones((2, 1, N + 1))], axis=-1)
     push = np.sin(2.0 * np.pi * grid) * 50.0
-    fields_a = [(np.zeros((1, N + 1)), speed)] * 2
-    fields_b = [(push[None, :], speed)] * 2
+    star_b = np.broadcast_to(push, (2, 1, N + 1))
     with pytest.raises(DiffeoBreakdownError) as exc_info:
-        repar.tangential_ode([0.0, 0.1], fields_a, fields_b, grid[None, :])
+        repar.tangential_ode([0.0, 0.1], fields_a, star_b, grid[None, :])
     assert exc_info.value.time == pytest.approx(0.1)
     assert exc_info.value.curve == 0
     # two curves, only curve 1 pushed: the breakdown names curve 1
-    speed = np.ones((2, N + 1))
-    fields_a = [(np.zeros((2, N + 1)), speed)] * 2
-    fields_b = [(np.stack([np.zeros(N + 1), push]), speed)] * 2
+    fields_a = np.stack([np.zeros((2, 2, N + 1)), np.ones((2, 2, N + 1))], axis=-1)
+    star_b = np.broadcast_to([np.zeros(N + 1), push], (2, 2, N + 1))
     with pytest.raises(DiffeoBreakdownError) as exc_info:
-        repar.tangential_ode([0.0, 0.1], fields_a, fields_b, np.tile(grid, (2, 1)))
+        repar.tangential_ode([0.0, 0.1], fields_a, star_b, np.tile(grid, (2, 1)))
     assert exc_info.value.curve == 1
     assert exc_info.value.time == 0.1
     assert "curve 1" in str(exc_info.value)
@@ -371,12 +368,20 @@ def _arclength_oracle(curve):
     return values
 
 
+def _curve_fields(curve, lam):
+    """(phi_star, speed) of one curve, each (N+1,)."""
+    bundle = geometry.finite_differences(curve)
+    return geometry.phi_star(bundle, lam), bundle.speed
+
+
 def _certificate_oracle(trajectory_a, trajectory_b, lam):
     from scipy.interpolate import PchipInterpolator
 
     times = np.array([s.time for s in trajectory_a])
-    fields_a = [list(zip(*repar._tangential_speed_fields(s, lam))) for s in trajectory_a]
-    fields_b = [list(zip(*repar._tangential_speed_fields(s, lam))) for s in trajectory_b]
+    fields_a = [[_curve_fields(curve, lam[i]) for i, curve in enumerate(s.curves)]
+                for s in trajectory_a]
+    fields_b = [[_curve_fields(curve, lam[i]) for i, curve in enumerate(s.curves)]
+                for s in trajectory_b]
     certificate = 0.0
     maps = []
     for i in range(trajectory_a[0].q):
@@ -446,13 +451,13 @@ def test_certificate_differentiates_each_stored_frame_once(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(q=st.integers(1, 4), frames=st.integers(0, 3), N=st.integers(8, 64),
-       M=st.integers(1, 80), n=st.sampled_from([None, 2, 3]),
+       M=st.integers(1, 80), n=st.sampled_from([1, 2, 3]),
        seed=st.integers(0, 2**32 - 1))
 def test_batched_resample_equals_per_row_loop_bit_for_bit(q, frames, N, M, n, seed):
-    # frames = 0 stacks q fields; otherwise q x frames, as the certificate does
+    # frames = 0 stacks q curves; otherwise q x frames, as the certificate does
     rng = np.random.default_rng(seed)
     lead = (q,) if frames == 0 else (q, frames)
-    nodes = rng.standard_normal(lead + (N + 1,) + (() if n is None else (n,)))
+    nodes = rng.standard_normal(lead + (N + 1, n))
     # parameters outside [0, 1] are clipped, and some sit exactly on nodes
     positions = rng.uniform(-0.1, 1.1, lead + (M,))
     positions[..., ::3] = rng.integers(0, N + 1, positions[..., ::3].shape) / N
@@ -462,10 +467,13 @@ def test_batched_resample_equals_per_row_loop_bit_for_bit(q, frames, N, M, n, se
         for field, y in zip(nodes.reshape((-1,) + nodes.shape[len(lead):]),
                             positions.reshape(-1, M))
     ]).reshape(batched.shape)
-    assert batched.shape == lead + (M,) + (() if n is None else (n,))
+    assert batched.shape == lead + (M, n)
     assert np.array_equal(batched.view(np.uint64), rows.view(np.uint64))
 
 
 def test_resample_rejects_mismatched_leading_axes():
     with pytest.raises(ConfigurationError):
         repar.resample(np.zeros((3, 33, 2)), np.zeros((2, 10)))
+    # a scalar field is no curve: it needs a column axis, (N+1, 1)
+    with pytest.raises(ConfigurationError):
+        repar.resample(np.zeros(33), np.zeros(10))
