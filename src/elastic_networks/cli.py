@@ -57,7 +57,11 @@ def _run_command(command):
             print(f"error: {err}", file=sys.stderr)
             return EXIT_INVALID
         except (StepError, RegularityError, DiffeoBreakdownError) as err:
-            print(f"breakdown: {err}", file=sys.stderr)
+            # evolve stamps the failing step's time on a step error; a map
+            # breakdown's message already names its time
+            when = ("" if err.time is None or isinstance(err, DiffeoBreakdownError)
+                    else f" in the step to t={err.time:.6e}")
+            print(f"breakdown: {err}{when}", file=sys.stderr)
             return EXIT_BREAKDOWN
     return run
 

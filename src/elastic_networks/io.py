@@ -99,15 +99,16 @@ def load_config(path):
     return SolverConfig(**data)
 
 
+def _frame_to_dict(state):
+    return {"time": state.time, "curves": state.nodes.tolist()}
+
+
 def trajectory_to_dict(trajectory, params):
     return {
         "format": TRAJECTORY_FORMAT,
         "endpoints": params.endpoints.tolist(),
         "lambda": params.lam.tolist(),
-        "frames": [
-            {"time": s.time, "curves": s.nodes.tolist()}
-            for s in trajectory
-        ],
+        "frames": [_frame_to_dict(s) for s in trajectory],
     }
 
 
@@ -123,7 +124,17 @@ def trajectory_from_dict(data):
 
 
 def save_trajectory(path, trajectory, params):
-    _write_json(path, trajectory_to_dict(trajectory, params))
+    """Write the text of json.dumps(trajectory_to_dict(...)) one frame at a
+    time, so only one frame's lists and text are held at once."""
+    # the text of the frameless dict ends with the empty list: '[]}'
+    head = json.dumps(trajectory_to_dict([], params))
+    with open(path, "w") as fh:
+        fh.write(head[:-2])
+        for k, state in enumerate(trajectory):
+            if k:
+                fh.write(", ")
+            fh.write(json.dumps(_frame_to_dict(state)))  # the C encoder, as _write_json
+        fh.write(head[-2:])
 
 
 def load_trajectory(path):

@@ -232,9 +232,9 @@ def geometric_equivalence(trajectory_a, trajectory_b, lam):
                        arclength_map(fields_b[0, ..., 1], 1.0 / trajectory_b[0].N))
 
     maps = tangential_ode(times, fields_a, fields_b[..., 0], phi0)
-    del fields_a, fields_b  # freed before the final resample's temporaries: lower peak RSS
-    # every curve of every frame in one call: (q, frames, N+1, n)
-    nodes_a = np.stack([s.nodes for s in trajectory_a], axis=1)
-    nodes_b = np.stack([s.nodes for s in trajectory_b], axis=1)
-    gap = np.linalg.norm(resample(nodes_a, maps) - nodes_b, axis=-1)
-    return float(np.max(gap)), maps
+    del fields_a, fields_b  # freed before the gap's temporaries: lower peak RSS
+    # one frame at a time, so the temporaries do not grow with the frames;
+    # np.max keeps a NaN gap, which Python's max would drop
+    gaps = [np.max(np.linalg.norm(resample(a.nodes, maps[:, k]) - b.nodes, axis=-1))
+            for k, (a, b) in enumerate(zip(trajectory_a, trajectory_b))]
+    return float(np.max(gaps)), maps

@@ -305,13 +305,18 @@ def regularity_guard(bundle, initial_margin):
     """Raise once uniform parabolicity degrades past GUARD_FACTOR.
 
     bundle is the stacked bundle of a network; only its speeds are read.
+    The error names the node of the largest speed, where 1/|f'| sets the
+    margin.
     """
     margin = wellposed.parabolicity_margin(bundle.speed)
     if margin < GUARD_FACTOR * initial_margin:
+        curve, node = divmod(int(np.argmax(bundle.speed)), bundle.speed.shape[-1])
         raise RegularityError(
             f"parabolicity margin {margin:.6e} fell to "
             f"{margin / initial_margin:.6f} of its initial value "
-            f"{initial_margin:.6e}, below the factor {GUARD_FACTOR}"
+            f"{initial_margin:.6e}, below the factor {GUARD_FACTOR}, "
+            f"at node {node} of curve {curve}",
+            curve=curve, node=node,
         )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import scipy.sparse as sp
 
-from elastic_networks import diagnostics, fixtures, geometry, junction, solver
+from elastic_networks import diagnostics, fixtures, geometry, junction, solver, wellposed
 from elastic_networks.errors import (
     ConfigurationError,
     NonCollinearError,
@@ -165,6 +165,42 @@ def test_guard_trip_is_a_regularity_error_with_time_and_partial_trajectory(monke
     # the ratio is printed, not two margins that round alike
     ratio = float(str(err).split(" fell to ")[1].split()[0])
     assert ratio < 0.98
+
+
+def test_guard_names_the_node_of_the_largest_speed():
+    state, _ = fixtures.triod_bent_skewed(N=64, skew=0.8)
+    bundle = geometry.finite_differences(state)
+    margin = wellposed.parabolicity_margin(bundle.speed)
+    solver.regularity_guard(bundle, 2.0 * margin)  # exactly at the factor 0.5
+    with pytest.raises(RegularityError, match="parabolicity margin") as exc_info:
+        solver.regularity_guard(bundle, 2.01 * margin)
+    err = exc_info.value
+    curve, node = np.unravel_index(np.argmax(bundle.speed), bundle.speed.shape)
+    assert (err.curve, err.node) == (curve, node)
+    assert str(err).endswith(f", at node {node} of curve {curve}")
+    # 1/|f'| there is the margin's
+    assert float(1.0 / bundle.speed[curve, node])**4 == margin
+
+
+def test_picard_floor_accepts_an_update_that_shrank_by_less_than_half(monkeypatch):
+    # scripted updates: 1e-6, then below PICARD_FLOOR with ratios 0.04, 0.4,
+    # 0.6 and 0.8 to the update before; the rule (ratio > 0.5) stops at the
+    # fourth iterate, where a threshold of 0.25 would stop at the third and
+    # one of 0.75 at the fifth
+    state, params = fixtures.triod_bent(N=32)
+    offsets = np.cumsum([1e-6, 4e-8, 1.6e-8, 9.6e-9, 7.68e-9, 7e-9])
+    iterates = []
+
+    def scripted(matrix, lu, perm_c, rhs):
+        nodes = state.nodes.copy()
+        nodes[1, 5, 0] += offsets[len(iterates)]
+        iterates.append(nodes)
+        return nodes
+
+    monkeypatch.setattr(solver, "_solve", scripted)
+    new = solver.picard_step(state, params, SolverConfig(dt=1e-6, t_end=1e-6))
+    assert len(iterates) == 4
+    assert np.array_equal(new.nodes, iterates[-1])
 
 
 def test_evolve_differentiates_each_accepted_state_once(monkeypatch):
