@@ -91,6 +91,22 @@ def _block_operator(count, num):
     return sparse.block_diag([stacked] * count, format="csr")
 
 
+def csr_product(matrix, x):
+    """matrix @ x for a CSR matrix and a float vector or (rows, k) array,
+    bit for bit: the compiled kernel @ calls, on a zeroed buffer as @
+    does, without @'s checks and dispatch."""
+    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+
+    rows, cols = matrix.shape
+    out = np.zeros((rows, *x.shape[1:]))
+    if x.ndim == 1:
+        csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, x, out)
+    else:
+        csr_matvecs(rows, cols, x.shape[1], matrix.indptr, matrix.indices,
+                    matrix.data, x.ravel(), out.ravel())
+    return out
+
+
 @lru_cache(maxsize=None)
 def _scales(num):
     # h^order for the orders 1..4, shaped to divide a (..., 4, num, n) array
@@ -197,17 +213,17 @@ class DerivativeBundle:
 def finite_differences(curves):
     """Compute d1..d4 and the speed of one curve or of a whole network.
 
-    curves is anything with a .nodes array: a CurveSamples, (N+1, n), or
-    a NetworkState, (q, N+1, n).  One cached block-diagonal operator
-    differentiates the contiguous node array of all curves at once into
-    one contiguous (..., 4, N+1, n) array, and the bundle's fields are
-    slices of it that keep the leading shape.  Per-curve and stacked
-    results agree bit for bit.
+    curves is anything with a float .nodes array: a CurveSamples,
+    (N+1, n), or a NetworkState, (q, N+1, n).  One cached block-diagonal
+    operator differentiates the contiguous node array of all curves at
+    once into one contiguous (..., 4, N+1, n) array, and the bundle's
+    fields are slices of it that keep the leading shape.  Per-curve and
+    stacked results agree bit for bit.
     """
     nodes = curves.nodes
     *lead, num, n = nodes.shape
     count = math.prod(lead)
-    raw = _block_operator(count, num) @ nodes.reshape(count * num, n)
+    raw = csr_product(_block_operator(count, num), nodes.reshape(count * num, n))
     d = raw.reshape(*lead, 4, num, n) / _scales(num)
     d1, d2, d3, d4 = (d[..., k, :, :] for k in range(4))
     # |d1| with the squares summed in component order, as np.linalg.norm
@@ -320,9 +336,13 @@ def phi_star(bundle, lam):
 
 def h_lower(bundle, lam):
     """Lower-order terms of the parabolic form of the flow."""
-    d1, d2, d3 = bundle.d1, bundle.d2, bundle.d3
     s = bundle.speed
-    s4, s6 = s**4, s**6
+    return _h_lower(bundle.d1, bundle.d2, bundle.d3, s, s**4, lam)
+
+
+def _h_lower(d1, d2, d3, s, s4, lam):
+    # h_lower from the fields and a caller's s**4, which the step shares
+    s6 = s**6
     p21 = _dots(d2, d1)
     coeff = (
         2.5 * _dots(d2, d2) / s4

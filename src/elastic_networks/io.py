@@ -6,6 +6,7 @@ exactly.
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 
@@ -37,6 +38,25 @@ def _require(value, kind, name):
     return value
 
 
+def _is_number(item):
+    # float() would also take a bool or "0.5", and raises OverflowError on
+    # an integer past the float range
+    return type(item) is float or (type(item) is int
+                                   and abs(item) <= sys.float_info.max)
+
+
+def _require_numbers(value, name):
+    """value, if it is nested lists of only JSON numbers (see _is_number)."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if type(item) is list:
+            pending.extend(item)
+        elif not _is_number(item):
+            raise ConfigurationError(f"{name} must hold only JSON numbers, got {item!r}")
+    return value
+
+
 def network_from_dict(data):
     _require(data, dict, "a network file")
     if data.get("format") != NETWORK_FORMAT:
@@ -50,11 +70,10 @@ def network_from_dict(data):
 def _state_from(curves, time):
     """A state read from a file, with finite nodes and a finite time."""
     _require(curves, list, "curves")
-    try:
-        time = float(time)
-    except (TypeError, ValueError) as err:
-        raise ConfigurationError(f"time must be a number, got {time!r}") from err
-    state = NetworkState(curves=curves, time=time)
+    if not _is_number(time):
+        raise ConfigurationError(f"time must be a JSON number, got {time!r}")
+    time = float(time)
+    state = NetworkState(curves=_require_numbers(curves, "curves"), time=time)
     if not (np.isfinite(time) and np.all(np.isfinite(state.nodes))):
         raise ConfigurationError("node coordinates and time must be finite")
     return state
@@ -62,7 +81,8 @@ def _state_from(curves, time):
 
 def _params_from(data, states):
     """Flow parameters read from a file, with (q, n) endpoints for states."""
-    params = FlowParams(endpoints=data["endpoints"], lam=data["lambda"])
+    params = FlowParams(endpoints=_require_numbers(data["endpoints"], "endpoints"),
+                        lam=_require_numbers(data["lambda"], "lambda"))
     for state in states:
         if params.endpoints.shape != (state.q, state.n):
             raise ConfigurationError(

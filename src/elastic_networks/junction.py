@@ -85,7 +85,7 @@ def _projector_complement(d):
 
 def tangents(bundle):
     """Unit junction tangents T_i = f_i'(0) / |f_i'(0)| of a stacked bundle."""
-    return geometry.unit_tangents(bundle[:, 0])
+    return bundle.d1[:, 0] / bundle.speed[:, 0, None]  # no sliced bundle
 
 
 def projectors(tangents, coefficients):

@@ -32,7 +32,7 @@ from .errors import (
     RegularityError,
     StepError,
 )
-from .geometry import NetworkState, boundary_offsets, stencil_weights
+from .geometry import NetworkState, boundary_offsets, csr_product, stencil_weights
 
 LINEAR_RESIDUAL_TOL = 1e-8
 PICARD_TOL = 1e-12
@@ -56,15 +56,17 @@ class FlowParams:
 
     def __post_init__(self):
         try:
-            ends = np.atleast_2d(np.asarray(self.endpoints, dtype=float))
-            lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
+            ends = np.asarray(self.endpoints, dtype=float)
+            lam = np.asarray(self.lam, dtype=float)
         except (TypeError, ValueError) as err:  # ragged, or not numbers
             raise ConfigurationError(
                 f"endpoints and lam must be numeric arrays: {err}") from err
         object.__setattr__(self, "endpoints", ends)
         object.__setattr__(self, "lam", lam)
-        if ends.shape[0] != lam.shape[0]:
-            raise ConfigurationError("endpoints and lam must list the same curves")
+        if ends.ndim != 2 or lam.ndim != 1 or ends.shape[0] != lam.shape[0]:
+            raise ConfigurationError(
+                f"endpoints must be a (q, n) array and lam a (q,) array, got "
+                f"shapes {ends.shape} and {lam.shape}")
         if not (np.all(np.isfinite(ends)) and np.all(np.isfinite(lam))):
             raise ConfigurationError("endpoints and length penalties must be finite")
         if np.any(lam < 0):
@@ -110,10 +112,10 @@ def _solve(matrix, lu, perm_c, rhs):
     # two rounds of iterative refinement keep the boundary rows exact
     # to rounding even when the step matrix is badly conditioned
     for _refine in range(2):
-        x += lu.solve(b - matrix @ x)[perm_c]
-    residual = np.max(np.abs(matrix @ x - b))
+        x += lu.solve(b - csr_product(matrix, x))[perm_c]
+    residual = np.abs(csr_product(matrix, x) - b).max()
     # written so that a NaN residual fails too
-    if not residual <= LINEAR_RESIDUAL_TOL * (1.0 + np.max(np.abs(b))):
+    if not residual <= LINEAR_RESIDUAL_TOL * (1.0 + np.abs(b).max()):
         raise StepError(f"linear step residual {residual:.3e} too large")
     return x.reshape(rhs.shape)
 
@@ -236,12 +238,20 @@ def _step_rhs(rhs, current, base_dt, d_pow4, e_matrices, params):
     coefficients) are taken once per step, on the interior nodes 2..N-2.
     """
     inner = slice(2, rhs.shape[1] - 2)
-    cur = current[:, inner]
-    remainder = (d_pow4 - 1.0 / cur.speed**4)[..., None] * cur.d4
-    rhs[:, inner] = base_dt + remainder + geometry.h_lower(cur, params.lam[:, None])
+    s = current.speed[:, inner]
+    s4 = s**4  # shared by the remainder and the lower-order terms
+    remainder = (d_pow4 - 1.0 / s4)[..., None] * current.d4[:, inner]
+    rhs[:, inner] = base_dt + remainder + geometry._h_lower(
+        current.d1[:, inner], current.d2[:, inner], current.d3[:, inner], s, s4,
+        params.lam[:, None])
     if e_matrices is not None:
         rhs[0, 0] = junction.linearize_boundary(e_matrices, current, params.lam)
     return rhs
+
+
+# a Picard iterate as geometry.finite_differences receives it: the plain
+# node array and, as on a NetworkState, the time the step ends at
+_Iterate = namedtuple("_Iterate", "nodes time")
 
 
 def picard_step(state, params, config, *, bundle=None, time=None):
@@ -250,8 +260,9 @@ def picard_step(state, params, config, *, bundle=None, time=None):
     The coefficients are frozen at state, the start of the step.  bundle
     is state's stacked bundle when the caller already has it; it gives
     the frozen coefficients and the first iterate.  time is the time of
-    the new state, state.time + dt by default.  Each Picard iterate is a
-    NetworkState at that time, and the converged one is returned.
+    the new state, state.time + dt by default.  The Picard iterates are
+    plain (q, N+1, n) arrays; the converged one is returned as a
+    NetworkState at that time.
     """
     if bundle is None:
         bundle = geometry.finite_differences(state)
@@ -284,20 +295,20 @@ def picard_step(state, params, config, *, bundle=None, time=None):
     rhs[:, num - 1] = params.endpoints
     if q == 1:
         rhs[0, 0] = base[0, 0]
-    current, current_bundle = state, bundle
+    current, current_bundle = base, bundle
     previous_change = np.inf
     for _ in range(PICARD_MAX):
         _step_rhs(rhs, current_bundle, base_dt, d_pow4, e_matrices, params)
-        new = NetworkState(_solve(matrix, lu, perm_c, rhs), time=time)
-        change = float(np.max(np.abs(new.nodes - current.nodes)))
+        new = _solve(matrix, lu, perm_c, rhs)
+        change = float(np.abs(new - current).max())
         current = new
         # stop at the tolerance, or once contraction has hit the rounding
         # floor of the linear solver
         if change <= PICARD_TOL or (change <= PICARD_FLOOR
                                     and change > 0.5 * previous_change):
-            return current
+            return NetworkState(current, time=time)
         previous_change = change
-        current_bundle = geometry.finite_differences(current)
+        current_bundle = geometry.finite_differences(_Iterate(current, time))
     raise StepError(f"Picard iteration stalled (last change {change:.3e})")
 
 

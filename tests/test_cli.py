@@ -89,9 +89,15 @@ def _spoil_curves_type(data):
     data["curves"] = 5
 
 
+def _spoil_lambda_nesting(data):
+    # (q, 1) would broadcast against the (q, n) tangents
+    data["lambda"] = [[v] for v in data["lambda"]]
+
+
 @pytest.mark.parametrize("spoil", [_spoil_endpoint_dimension, _spoil_endpoint_rows,
                                    _spoil_time, _spoil_node, _spoil_lambda,
-                                   _spoil_endpoint, _spoil_curves_type])
+                                   _spoil_endpoint, _spoil_curves_type,
+                                   _spoil_lambda_nesting])
 @pytest.mark.parametrize("command", [["check"], ["simulate", "--warn"]],
                          ids=["check", "simulate-warn"])
 def test_malformed_network_file_is_invalid(tmp_path, capsys, spoil, command):
@@ -112,6 +118,54 @@ def test_malformed_network_file_is_invalid(tmp_path, capsys, spoil, command):
     assert "invalid network file" in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+# (field, where in the file, a value that is no JSON number for a float)
+NOT_JSON_NUMBERS = [
+    ("time", ("time",), "0.5"), ("time", ("time",), True),
+    ("lambda", ("lambda", 1), "1"), ("lambda", ("lambda",), [True, True, True]),
+    ("curves", ("curves", 1, 5, 0), "0.25"), ("endpoints", ("endpoints", 0, 1), False),
+    # no float holds it: float() raises OverflowError
+    ("time", ("time",), 10**400), ("curves", ("curves", 0, 3, 1), -10**400),
+]
+NOT_JSON_NUMBERS_IDS = ["time-string", "time-bool", "lambda-string", "lambda-bools",
+                        "node-string", "endpoint-bool", "time-huge-int",
+                        "node-huge-int"]
+
+
+def _replace(data, where, value):
+    for key in where[:-1]:
+        data = data[key]
+    data[where[-1]] = value
+
+
+@pytest.mark.parametrize("field, where, value", NOT_JSON_NUMBERS,
+                         ids=NOT_JSON_NUMBERS_IDS)
+def test_network_file_values_must_be_json_numbers(tmp_path, capsys, field, where,
+                                                  value):
+    state, params = fixtures.triod_bent(N=16)
+    data = io.network_to_dict(state, params)
+    _replace(data, where, value)
+    path = str(tmp_path / "net.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["check", "--network", path])
+    err = capsys.readouterr().err
+    assert exc_info.value.code == cli.EXIT_INVALID
+    assert f"invalid network file: {field} must" in err
+    assert f"got {(value[0] if isinstance(value, list) else value)!r}" in err
+
+
+@pytest.mark.parametrize("field, where, value", NOT_JSON_NUMBERS,
+                         ids=NOT_JSON_NUMBERS_IDS)
+def test_trajectory_file_values_must_be_json_numbers(field, where, value):
+    data = _trajectory_json()
+    # a frame holds the time and the curves; the file the parameters
+    _replace(data["frames"][0] if where[0] in ("time", "curves") else data,
+             where, value)
+    with pytest.raises(ConfigurationError, match=f"^{field} must"):
+        io.trajectory_from_dict(data)
 
 
 def test_network_file_holding_a_list_is_invalid(tmp_path, capsys):

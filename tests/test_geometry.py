@@ -301,6 +301,14 @@ def test_stacked_bundle_equals_per_curve_bundles(q, n):
     ])
 
 
+@pytest.mark.parametrize("q, n, N", [(1, 2, 32), (3, 2, 128), (4, 3, 2048)])
+def test_block_operator_kernel_product_equals_matmul_bit_for_bit(q, n, N):
+    # finite_differences calls the compiled kernel behind @ directly
+    operator = geometry._block_operator(q, N + 1)
+    x = np.random.default_rng(q * n).standard_normal((q * (N + 1), n))
+    assert geometry.csr_product(operator, x).tobytes() == (operator @ x).tobytes()
+
+
 def test_energy_gradient_of_a_network_is_its_curves_gradients():
     state, _ = fixtures.q4_spatial(N=48)
     stacked = geometry.energy_gradient(geometry.finite_differences(state))

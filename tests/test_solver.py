@@ -61,6 +61,13 @@ def test_flow_params_validation():
         FlowParams(endpoints=np.zeros((3, 2)), lam=np.zeros(2))
     with pytest.raises(ConfigurationError):
         FlowParams(endpoints=np.zeros((2, 2)), lam=np.array([1.0, -1.0]))
+    # a nested lam would broadcast as (q, 1); a flat endpoint list has no n
+    with pytest.raises(ConfigurationError, match=r"shapes \(3, 2\) and \(3, 1\)"):
+        FlowParams(endpoints=np.zeros((3, 2)), lam=[[1.0], [1.0], [1.0]])
+    with pytest.raises(ConfigurationError, match=r"shapes \(2,\) and \(2,\)"):
+        FlowParams(endpoints=np.zeros(2), lam=np.ones(2))
+    with pytest.raises(ConfigurationError, match=r"shapes \(1, 2\) and \(\)"):
+        FlowParams(endpoints=np.zeros((1, 2)), lam=1.0)
 
 
 def test_solver_config_validation():
@@ -435,6 +442,17 @@ def test_fixed_pattern_step_matrix_equals_coo_assembly(network):
     assert np.array_equal(matrix.indptr, oracle.indptr)
     assert np.array_equal(matrix.indices, oracle.indices)
     assert np.array_equal(matrix.data, oracle.data)
+
+
+@pytest.mark.parametrize("network", STEP_NETWORKS)
+def test_step_matrix_kernel_product_equals_matmul_bit_for_bit(network):
+    # _solve calls the compiled kernel behind @ directly
+    state, _ = network()
+    matrix, _, _ = _step_matrix_of(state, 1e-5)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        x = rng.standard_normal(matrix.shape[1])
+        assert geometry.csr_product(matrix, x).tobytes() == (matrix @ x).tobytes()
 
 
 @pytest.mark.parametrize("network", STEP_NETWORKS)

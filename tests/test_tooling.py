@@ -251,3 +251,34 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                          if parameter not in names and None not in names
                          and (position is None or position >= count)]
     assert unpassed == [], f"never passed outside the tests: {', '.join(unpassed)}"
+
+
+# private SciPy modules that src/ may import.  SciPy promises nothing
+# about them, and the tests run on one SciPy version while pyproject.toml
+# declares an older floor, so each entry says what it is needed for
+PRIVATE_SCIPY_KEPT = {
+    "scipy.sparse._sparsetools",  # csr_matvec(s): @ without its dispatch
+}
+
+
+def _private_scipy_imports(tree):
+    # each imported scipy path cut after its first private component
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            parts = path.split(".")
+            private = [k for k, part in enumerate(parts) if part.startswith("_")]
+            if parts[0] == "scipy" and private:
+                yield ".".join(parts[:private[0] + 1])
+
+
+def test_src_imports_private_scipy_modules_only_from_the_allow_list():
+    found = {module for path in sorted(SRC.glob("*.py"))
+             for module in _private_scipy_imports(ast.parse(path.read_text()))}
+    assert found - PRIVATE_SCIPY_KEPT == set(), "private SciPy modules imported"
+    assert PRIVATE_SCIPY_KEPT - found == set(), "allow-list entries no longer used"
