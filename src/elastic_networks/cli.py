@@ -35,18 +35,19 @@ def _load(loader, path, kind):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        print(f"error: cannot parse {kind} file: {err}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
     except (ConfigurationError, KeyError, TypeError) as err:
         print(f"error: invalid {kind} file: {err}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
+    except ValueError as err:  # invalid JSON or UTF-8, or an integer too long to read
+        print(f"error: cannot parse {kind} file: {err}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
 
 
 def _run_command(command):
     """command(args, state, params, config) on the loaded files (SolverConfig()
-    without --config); exits 1 with "error: ..." on a rejected input or
-    collinear junction, 2 with "breakdown: ..." on a solver breakdown."""
+    without --config); exits 1 with "error: ..." on a rejected input or a
+    collinear initial junction, 2 with "breakdown: ..." on a solver
+    breakdown, NC lost mid-run included."""
     def run(args):
         state, params = _load(io.load_network, args.network, "network")
         config = (SolverConfig() if args.config is None
@@ -54,15 +55,18 @@ def _run_command(command):
         try:
             return command(args, state, params, config)
         except (ConfigurationError, NonCollinearError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INVALID
+            if getattr(err, "time", None) is None:  # not raised in a step
+                print(f"error: {err}", file=sys.stderr)
+                return EXIT_INVALID
+            failure = err
         except (StepError, RegularityError, DiffeoBreakdownError) as err:
-            # evolve stamps the failing step's time on a step error; a map
-            # breakdown's message already names its time
-            when = ("" if err.time is None or isinstance(err, DiffeoBreakdownError)
-                    else f" in the step to t={err.time:.6e}")
-            print(f"breakdown: {err}{when}", file=sys.stderr)
-            return EXIT_BREAKDOWN
+            failure = err
+        # evolve stamps the failing step's time on a step error; a map
+        # breakdown's message already names its time
+        when = ("" if failure.time is None or isinstance(failure, DiffeoBreakdownError)
+                else f" in the step to t={failure.time:.6e}")
+        print(f"breakdown: {failure}{when}", file=sys.stderr)
+        return EXIT_BREAKDOWN
     return run
 
 

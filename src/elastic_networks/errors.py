@@ -19,6 +19,8 @@ class RegularityError(RuntimeError):
 class NonCollinearError(RuntimeError):
     """The junction tangents span less than two dimensions."""
 
+    time = None  # set by evolve to the time of the failing step
+
 
 class StepError(RuntimeError):
     """A time step could not be completed."""

@@ -8,9 +8,11 @@ from .solver import FlowParams, NetworkState
 DEFAULT_N = 96
 
 
-def _spokes(dirs, N):
-    # unit-speed straight curves from the origin to the rows of dirs: (q, N+1, n)
-    return np.linspace(0.0, 1.0, N + 1)[:, None] * dirs[:, None, :]
+def _spokes(dirs, N, lam=1.0):
+    # unit-speed straight curves from the origin to the rows of dirs, which
+    # are their pinned outer ends, each with the length penalty lam
+    nodes = np.linspace(0.0, 1.0, N + 1)[:, None] * dirs[:, None, :]
+    return NetworkState(nodes), FlowParams(endpoints=dirs, lam=np.full(len(dirs), float(lam)))
 
 
 def _triod_frame():
@@ -57,9 +59,7 @@ def triod_equilibrium(N=DEFAULT_N, lam=1.0):
     The spokes are flat and the tangents sum to zero, so with equal length
     penalties this network is a steady state of the flow.
     """
-    dirs, _ = _triod_frame()
-    params = FlowParams(endpoints=dirs, lam=np.full(3, float(lam)))
-    return NetworkState(_spokes(dirs, N)), params
+    return _spokes(_triod_frame()[0], N, lam)
 
 
 def triod_bent(N=DEFAULT_N, lam=1.0, amplitude=0.05):
@@ -109,9 +109,7 @@ def collinear_bad(N=DEFAULT_N):
     The tangential-speed system at the junction is singular for this
     network, so it must be rejected by the preflight checks.
     """
-    dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    params = FlowParams(endpoints=dirs, lam=np.ones(2))
-    return NetworkState(_spokes(dirs, N)), params
+    return _spokes(np.array([[1.0, 0.0], [-1.0, 0.0]]), N)
 
 
 def q4_spatial(N=DEFAULT_N):
@@ -126,8 +124,7 @@ def q4_spatial(N=DEFAULT_N):
         [-1.0, 1.0, -1.0],
         [-1.0, -1.0, 1.0],
     ]) / np.sqrt(3.0)
-    params = FlowParams(endpoints=dirs, lam=np.ones(4))
-    return NetworkState(_spokes(dirs, N)), params
+    return _spokes(dirs, N)
 
 
 def single_clamped(N=DEFAULT_N, amplitude=0.05):

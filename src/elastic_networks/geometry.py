@@ -13,10 +13,14 @@ the formulas trust the speeds of the bundles it makes.
 """
 
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import ConfigurationError, RegularityError
 
@@ -30,8 +34,8 @@ _SHIFTED_POINTS = {1: 3, 2: 4, 3: 5, 4: 6}
 MIN_INTERVALS = 8
 
 
-@lru_cache(maxsize=None)
-def _cached_weights(offsets, order):
+def stencil_weights(offsets, order):
+    """Finite-difference weights on unit-spaced nodes at the given offsets."""
     c = np.asarray(offsets, dtype=float)
     p = c.size
     if p <= order:
@@ -45,11 +49,6 @@ def _cached_weights(offsets, order):
     return np.linalg.solve(vander, rhs)
 
 
-def stencil_weights(offsets, order):
-    """Finite-difference weights on unit-spaced nodes at the given offsets."""
-    return _cached_weights(tuple(int(o) for o in offsets), order).copy()
-
-
 def boundary_offsets(node, order, num_nodes):
     """Offsets of the shifted stencil used at a node too close to an end."""
     pts = _SHIFTED_POINTS[order]
@@ -60,8 +59,6 @@ def boundary_offsets(node, order, num_nodes):
 @lru_cache(maxsize=None)
 def _derivative_matrix(num, order):
     """Sparse differentiation matrix on num unit-spaced nodes."""
-    from scipy import sparse
-
     hw = _CENTERED_HALF_WIDTH[order]
     band = np.arange(-hw, hw + 1)
     interior = np.arange(hw, num - hw)
@@ -73,8 +70,8 @@ def _derivative_matrix(num, order):
     rows += [np.full(o.size, k) for k, o in zip(ends, shifted)]
     cols = [(interior[:, None] + band).ravel()]
     cols += [k + o for k, o in zip(ends, shifted)]
-    vals = [np.tile(_cached_weights(tuple(band.tolist()), order), interior.size)]
-    vals += [_cached_weights(tuple(o.tolist()), order) for o in shifted]
+    vals = [np.tile(stencil_weights(band, order), interior.size)]
+    vals += [stencil_weights(o, order) for o in shifted]
     return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(num, num),
@@ -85,8 +82,6 @@ def _derivative_matrix(num, order):
 def _block_operator(count, num):
     """count copies, down the diagonal, of the order 1..4 matrices on num
     nodes stacked vertically: (count 4 num, count num)."""
-    from scipy import sparse
-
     stacked = sparse.vstack([_derivative_matrix(num, k) for k in range(1, 5)])
     return sparse.block_diag([stacked] * count, format="csr")
 
@@ -95,8 +90,6 @@ def csr_product(matrix, x):
     """matrix @ x for a CSR matrix and a float vector or (rows, k) array,
     bit for bit: the compiled kernel @ calls, on a zeroed buffer as @
     does, without @'s checks and dispatch."""
-    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
-
     rows, cols = matrix.shape
     out = np.zeros((rows, *x.shape[1:]))
     if x.ndim == 1:
@@ -149,7 +142,8 @@ class NetworkState:
 
     curves is the stacked (q, N+1, n) node array, or a sequence of
     CurveSamples or of (N+1, n) node arrays; it is copied once into
-    .nodes, a read-only (q, N+1, n) array.
+    .nodes, a read-only (q, N+1, n) array.  The nodes must be finite and
+    time a finite real number.
     """
 
     nodes: np.ndarray
@@ -167,6 +161,10 @@ class NetworkState:
         if nodes.ndim != 3:
             raise ConfigurationError("network nodes must be a (q, N+1, n) array")
         _check_grid(nodes)
+        if isinstance(time, bool) or not isinstance(time, numbers.Real):
+            raise ConfigurationError(f"time must be a real number, got {time!r}")
+        if not (math.isfinite(time) and np.isfinite(nodes).all()):
+            raise ConfigurationError("node coordinates and time must be finite")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "time", time)
@@ -189,25 +187,11 @@ class NetworkState:
         return self.nodes.shape[1] - 1
 
 
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """First four parameter derivatives and the speed |f'|.
-
-    Fields are (N+1, n) and (N+1,) for one curve, or (q, N+1, n) and
-    (q, N+1) for a network, curve-major like NetworkState.nodes; from
-    finite_differences, d1..d4 are slices of one contiguous array.
-    """
-
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-    d4: np.ndarray
-    speed: np.ndarray
-
-    def __getitem__(self, key):
-        """Index the leading (curve, node) axes of every field alike."""
-        return DerivativeBundle(self.d1[key], self.d2[key], self.d3[key],
-                                self.d4[key], self.speed[key])
+# First four parameter derivatives and the speed |f'|.  Fields are
+# (N+1, n) and (N+1,) for one curve, or (q, N+1, n) and (q, N+1) for a
+# network, curve-major like NetworkState.nodes; from finite_differences,
+# d1..d4 are slices of one contiguous array.
+DerivativeBundle = namedtuple("DerivativeBundle", "d1 d2 d3 d4 speed")
 
 
 def finite_differences(curves):

@@ -72,11 +72,7 @@ def _state_from(curves, time):
     _require(curves, list, "curves")
     if not _is_number(time):
         raise ConfigurationError(f"time must be a JSON number, got {time!r}")
-    time = float(time)
-    state = NetworkState(curves=_require_numbers(curves, "curves"), time=time)
-    if not (np.isfinite(time) and np.all(np.isfinite(state.nodes))):
-        raise ConfigurationError("node coordinates and time must be finite")
-    return state
+    return NetworkState(curves=_require_numbers(curves, "curves"), time=float(time))
 
 
 def _params_from(data, states):
@@ -84,10 +80,7 @@ def _params_from(data, states):
     params = FlowParams(endpoints=_require_numbers(data["endpoints"], "endpoints"),
                         lam=_require_numbers(data["lambda"], "lambda"))
     for state in states:
-        if params.endpoints.shape != (state.q, state.n):
-            raise ConfigurationError(
-                f"endpoints must have the shape (q, n) = {(state.q, state.n)} "
-                f"of the network, got {params.endpoints.shape}")
+        params.require_fit(state)
     return params
 
 

@@ -119,6 +119,7 @@ def third_order_sum(bundle, lambdas):
     bundle is the stacked DerivativeBundle of a network, read at node 0;
     the sum vanishes when the third-order junction condition holds.
     """
-    nsk = geometry.nabla_s_kappa(bundle[:, :1])[:, 0]
+    node0 = geometry.DerivativeBundle(*(f[:, :1] for f in bundle))
+    nsk = geometry.nabla_s_kappa(node0)[:, 0]
     lambdas = np.asarray(lambdas, dtype=float)
     return (nsk - lambdas[:, None] * tangents(bundle)).sum(axis=0)

@@ -72,6 +72,13 @@ class FlowParams:
         if np.any(lam < 0):
             raise ConfigurationError("length penalties must be nonnegative")
 
+    def require_fit(self, state):
+        """Raise unless there is one endpoint in R^n and one penalty per curve of state."""
+        if self.endpoints.shape != (state.q, state.n):
+            raise ConfigurationError(
+                f"endpoints must have the shape (q, n) = {(state.q, state.n)} "
+                f"of the network, got {self.endpoints.shape}")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -312,12 +319,20 @@ def picard_step(state, params, config, *, bundle=None, time=None):
     raise StepError(f"Picard iteration stalled (last change {change:.3e})")
 
 
-def regularity_guard(bundle, initial_margin):
-    """Raise once uniform parabolicity degrades past GUARD_FACTOR.
+def _require_nc(bundle):
+    # NC on the junction tangents of a stacked bundle; one curve has none
+    if len(bundle.speed) >= 2 and junction.span_dimension(junction.tangents(bundle)) < 2:
+        raise NonCollinearError("non-collinearity condition (NC) violated: "
+                                "the junction tangents are collinear")
 
-    bundle is the stacked bundle of a network; only its speeds are read.
-    The error names the node of the largest speed, where 1/|f'| sets the
-    margin.
+
+def regularity_guard(bundle, initial_margin):
+    """Raise once uniform parabolicity degrades past GUARD_FACTOR, or the
+    junction tangents turn collinear (NonCollinearError).
+
+    bundle is the stacked bundle of a network; its speeds and junction
+    tangents are read.  The RegularityError names the node of the largest
+    speed, where 1/|f'| sets the margin.
     """
     margin = wellposed.parabolicity_margin(bundle.speed)
     if margin < GUARD_FACTOR * initial_margin:
@@ -329,6 +344,7 @@ def regularity_guard(bundle, initial_margin):
             f"at node {node} of curve {curve}",
             curve=curve, node=node,
         )
+    _require_nc(bundle)
 
 
 def evolve(state, params, config, observers=(), preflight="strict"):
@@ -336,21 +352,20 @@ def evolve(state, params, config, observers=(), preflight="strict"):
 
     preflight is "strict" (reject incompatible data) or "warn" (only warn
     about incompatible data; collinear junction tangents stay fatal).  An
-    initial network with a vanishing speed is rejected either way, with a
-    ConfigurationError naming the curve and the node.
-    On a mid-run failure the raised exception carries the trajectory
-    computed so far in its .trajectory attribute and the time of the
-    failing step in .time.
+    initial network with a vanishing speed, or params that do not fit it,
+    are rejected either way with a ConfigurationError.  A mid-run failure
+    (StepError, RegularityError, or NonCollinearError once an accepted
+    state loses NC) carries the frames so far in .trajectory and the time
+    of the failing step in .time.
     """
     if preflight not in ("strict", "warn"):
         raise ConfigurationError("preflight must be strict or warn")
+    params.require_fit(state)
     try:
         bundle = geometry.finite_differences(state)
     except RegularityError as err:  # invalid input, not a breakdown
         raise ConfigurationError(f"initial network is not regular: {err}") from err
-    if state.q >= 2 and junction.span_dimension(junction.tangents(bundle)) < 2:
-        raise NonCollinearError("non-collinearity condition (NC) violated: "
-                                "the junction tangents are collinear")
+    _require_nc(bundle)
     failing = [r for r in wellposed.check_compat_order0(state, params, bundle)
                if not r.passed]
     if failing:
@@ -373,14 +388,14 @@ def evolve(state, params, config, observers=(), preflight="strict"):
                          else (step + 1) * increment + start)
             state = picard_step(state, params, config, bundle=bundle, time=time)
             # the accepted state's one bundle: the guard reads its speeds
-            # and the next step starts from it
+            # and junction tangents, and the next step starts from it
             bundle = geometry.finite_differences(state)
             regularity_guard(bundle, initial_margin)
             if (step + 1) % config.store_every == 0 or step == num_steps - 1:
                 trajectory.append(state)
             for obs in observers:
                 obs(state)
-    except (StepError, RegularityError) as err:
+    except (StepError, RegularityError, NonCollinearError) as err:
         err.time = time  # the step code raises without a time
         err.trajectory = trajectory
         raise

@@ -3,6 +3,7 @@
 import json
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -354,21 +355,25 @@ def test_unparsable_network_is_io_error(tmp_path):
 
 @pytest.mark.parametrize("kind", ["network", "config"])
 def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind):
-    paths = {"network": _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32)),
-             "config": _write_config(tmp_path, dt=1e-5, t_end=2e-5)}
-    with open(paths[kind], "wb") as fh:
-        fh.write(b"\xff\xfe\x00bad")
-    out = str(tmp_path / "run")
-    argv = (["check", "--network", paths["network"]] if kind == "network" else
-            ["simulate", "--network", paths["network"], "--config", paths["config"],
-             "--out", out])
-    with pytest.raises(SystemExit) as exc_info:
-        cli.main(argv)
-    err = capsys.readouterr().err
-    assert exc_info.value.code == cli.EXIT_IO
-    assert f"error: cannot parse {kind} file" in err
-    assert "Traceback" not in err
-    assert not os.path.exists(out)
+    # text that is not UTF-8, and JSON holding an integer of more digits
+    # than Python converts (json.load raises a plain ValueError there)
+    for content in (b"\xff\xfe\x00bad", b'{"time": ' + b"9" * 5000 + b"}"):
+        paths = {"network": _write_network(tmp_path, "net.json",
+                                           fixtures.triod_bent(N=32)),
+                 "config": _write_config(tmp_path, dt=1e-5, t_end=2e-5)}
+        with open(paths[kind], "wb") as fh:
+            fh.write(content)
+        out = str(tmp_path / "run")
+        argv = (["check", "--network", paths["network"]] if kind == "network" else
+                ["simulate", "--network", paths["network"], "--config",
+                 paths["config"], "--out", out])
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc_info.value.code == cli.EXIT_IO
+        assert f"error: cannot parse {kind} file" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
 
 
 def test_simulate_output_below_a_file_is_io_error(tmp_path, capsys):
@@ -452,6 +457,29 @@ def test_simulate_strict_rejects_collinear_before_stepping(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+def test_simulate_reports_nc_lost_mid_run_as_a_breakdown(tmp_path, capsys, monkeypatch):
+    # the preflight's span passes; the span of the first accepted state fails
+    from elastic_networks import junction
+    span_dimension = junction.span_dimension
+    spans = []
+
+    def collinear_on_second(tangents):
+        spans.append(tangents)
+        return 1 if len(spans) == 2 else span_dimension(tangents)
+
+    monkeypatch.setattr(junction, "span_dimension", collinear_on_second)
+    net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
+    config = _write_config(tmp_path, dt=1e-5, t_end=5e-5)
+    out = str(tmp_path / "run")
+    code = cli.main(["simulate", "--network", net, "--config", config,
+                     "--out", out])
+    assert code == cli.EXIT_BREAKDOWN
+    assert capsys.readouterr().err == (
+        "breakdown: non-collinearity condition (NC) violated: the junction "
+        "tangents are collinear in the step to t=1.000000e-05\n")
+    assert not os.path.exists(out)
+
+
 def test_simulate_breakdown_exit_code(tmp_path, monkeypatch):
     from elastic_networks import solver
     # a single Picard iterate with an unreachable tolerance fails the step
@@ -475,8 +503,8 @@ def test_simulate_regularity_breakdown_exit_code(tmp_path, capsys, monkeypatch):
         calls.append(network)
         if len(calls) == 10:
             nodes = network.nodes.copy()
-            nodes[2, 4, 1] = np.nan
-            network = NetworkState(nodes, time=network.time)
+            nodes[2, 4, 1] = np.nan  # a NetworkState would refuse it
+            network = SimpleNamespace(nodes=nodes, time=network.time)
         return differentiate(network)
 
     monkeypatch.setattr(geometry, "finite_differences", failing)

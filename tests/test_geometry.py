@@ -6,6 +6,8 @@ formulas, compared with symbolic arclength differentiation) and against
 closed-form circle values.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,12 +127,14 @@ def test_degenerate_speed_raises():
 
 
 def test_nan_node_is_a_regularity_error_naming_curve_and_node():
-    # a NaN speed compares False with the floor both ways; it must still fail
+    # a NaN speed compares False with the floor both ways; it must still fail.
+    # A NetworkState refuses NaN nodes, so the nodes come as a Picard
+    # iterate's do: a plain array
     x = np.linspace(0.0, 1.0, 17)
     nodes = np.stack([np.stack([x, k * x], axis=1) for k in range(3)])
     nodes[1, 5, 0] = np.nan
     with pytest.raises(RegularityError, match="degenerate speed nan") as exc_info:
-        geometry.finite_differences(geometry.NetworkState(nodes))
+        geometry.finite_differences(SimpleNamespace(nodes=nodes))
     # node 4 is the first node whose centered first-derivative stencil reads it
     assert (exc_info.value.curve, exc_info.value.node) == (1, 4)
     assert str(exc_info.value) == "degenerate speed nan at node 4 of curve 1"

@@ -1,5 +1,8 @@
 """Implicit stepper: validation, equilibria, energy decay and failure modes."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,17 @@ def test_network_state_validation():
         NetworkState(np.zeros((2, 9, 1)))  # n = 1
     with pytest.raises(ConfigurationError, match="intervals"):
         NetworkState(np.zeros((2, 8, 2)))  # N = 7
+    nodes = fixtures.triod_bent(N=32)[0].nodes
+    for bad in (np.nan, -np.inf):
+        spoiled = nodes.copy()
+        spoiled[1, 7, 0] = bad
+        with pytest.raises(ConfigurationError, match="coordinates and time must be finite"):
+            NetworkState(spoiled)
+        with pytest.raises(ConfigurationError, match="coordinates and time must be finite"):
+            NetworkState(nodes, time=-bad)
+    for not_real in ("0.5", None, True, 1j):
+        with pytest.raises(ConfigurationError, match="time must be a real number"):
+            NetworkState(nodes, time=not_real)
 
 
 def test_network_state_stores_one_read_only_array():
@@ -240,6 +254,46 @@ def test_preflight_rejects_incompatible_data_and_warn_proceeds():
         solver.evolve(bad, params, config, preflight="warn")
     with pytest.raises(ConfigurationError):
         solver.evolve(bad, params, config, preflight="nonsense")
+
+
+@pytest.mark.parametrize("preflight", ["strict", "warn"])
+@pytest.mark.parametrize("fit", ["wrong-q", "wrong-n"])
+def test_evolve_rejects_params_that_do_not_fit_the_network(monkeypatch, preflight, fit):
+    # NumPy would broadcast one endpoint and one penalty over three curves
+    state, params = fixtures.triod_bent(N=32)
+    if fit == "wrong-q":
+        params, shape = FlowParams(params.endpoints[:1], [1.0]), (1, 2)
+    else:
+        params, shape = FlowParams(np.pad(params.endpoints, ((0, 0), (0, 1))),
+                                   params.lam), (3, 3)
+    builds = []
+    monkeypatch.setattr(geometry, "finite_differences", builds.append)
+    message = f"(q, n) = (3, 2) of the network, got {shape}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=2e-5),
+                      preflight=preflight)
+    assert builds == []  # rejected before anything is differentiated
+
+
+def test_nc_lost_mid_run_carries_time_and_partial_trajectory(monkeypatch):
+    # the first span is the preflight's, then one per accepted state: the
+    # third belongs to the state of the second step
+    state, params = fixtures.triod_bent(N=32)
+    span_dimension = junction.span_dimension
+    spans = []
+
+    def collinear_on_third(tangents):
+        spans.append(tangents)
+        return 1 if len(spans) == 3 else span_dimension(tangents)
+
+    monkeypatch.setattr(junction, "span_dimension", collinear_on_third)
+    with pytest.raises(NonCollinearError, match=r"\(NC\) violated") as exc_info:
+        solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=5e-5))
+    err = exc_info.value
+    assert len(spans) == 3
+    assert err.time == pytest.approx(2e-5, rel=1e-12)
+    assert err.trajectory[0] is state
+    assert [s.time for s in err.trajectory] == pytest.approx([0.0, 1e-5], rel=1e-12)
 
 
 def test_step_error_carries_partial_trajectory(monkeypatch):
@@ -576,8 +630,8 @@ def _failing_on_call(monkeypatch, call):
         times.append(network.time)
         if len(times) == call:
             nodes = network.nodes.copy()
-            nodes[0, 3, 0] = np.nan
-            network = NetworkState(nodes, time=network.time)
+            nodes[0, 3, 0] = np.nan  # a NetworkState would refuse it
+            network = SimpleNamespace(nodes=nodes, time=network.time)
         return differentiate(network)
 
     monkeypatch.setattr(geometry, "finite_differences", failing)

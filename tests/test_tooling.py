@@ -282,3 +282,29 @@ def test_src_imports_private_scipy_modules_only_from_the_allow_list():
              for module in _private_scipy_imports(ast.parse(path.read_text()))}
     assert found - PRIVATE_SCIPY_KEPT == set(), "private SciPy modules imported"
     assert PRIVATE_SCIPY_KEPT - found == set(), "allow-list entries no longer used"
+
+
+# modules that src/ may import inside a function, each with the reason:
+# an import there costs a lookup on every call and hides a dependency
+IMPORTS_IN_FUNCTIONS_KEPT = {
+    "numpy.polynomial",  # NumPy loads it lazily; only triod_bent_skewed needs it
+}
+
+
+def _imports_in_functions(tree):
+    # the module of each import statement inside a def
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield "." * node.level + (node.module or "")
+
+
+def test_src_imports_inside_functions_only_from_the_allow_list():
+    found = {module for path in sorted(SRC.glob("*.py"))
+             for module in _imports_in_functions(ast.parse(path.read_text()))}
+    assert found - IMPORTS_IN_FUNCTIONS_KEPT == set(), "imports inside functions"
+    assert IMPORTS_IN_FUNCTIONS_KEPT - found == set(), "allow-list entries no longer used"
