@@ -14,11 +14,10 @@ import sys
 
 from . import diagnostics, geometry, io, junction, repar, studies, wellposed
 from .errors import (
+    BreakdownError,
     ConfigurationError,
     DiffeoBreakdownError,
-    NonCollinearError,
     RegularityError,
-    StepError,
 )
 from .solver import NetworkState, SolverConfig, evolve
 
@@ -45,28 +44,25 @@ def _load(loader, path, kind):
 
 def _run_command(command):
     """command(args, state, params, config) on the loaded files (SolverConfig()
-    without --config); exits 1 with "error: ..." on a rejected input or a
-    collinear initial junction, 2 with "breakdown: ..." on a solver
-    breakdown, NC lost mid-run included."""
+    without --config); exits 1 with "error: ..." on a rejected input (a
+    collinear initial junction included), 2 with "breakdown: ..." on a
+    breakdown of the run (NC lost mid-run included)."""
     def run(args):
         state, params = _load(io.load_network, args.network, "network")
         config = (SolverConfig() if args.config is None
                   else _load(io.load_config, args.config, "config"))
         try:
             return command(args, state, params, config)
-        except (ConfigurationError, NonCollinearError) as err:
-            if getattr(err, "time", None) is None:  # not raised in a step
-                print(f"error: {err}", file=sys.stderr)
-                return EXIT_INVALID
-            failure = err
-        except (StepError, RegularityError, DiffeoBreakdownError) as err:
-            failure = err
-        # evolve stamps the failing step's time on a step error; a map
-        # breakdown's message already names its time
-        when = ("" if failure.time is None or isinstance(failure, DiffeoBreakdownError)
-                else f" in the step to t={failure.time:.6e}")
-        print(f"breakdown: {failure}{when}", file=sys.stderr)
-        return EXIT_BREAKDOWN
+        except ConfigurationError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_INVALID
+        except BreakdownError as err:
+            # evolve stamps the failing step's time on a step error; a map
+            # breakdown's message already names its time
+            when = ("" if err.time is None or isinstance(err, DiffeoBreakdownError)
+                    else f" in the step to t={err.time:.6e}")
+            print(f"breakdown: {err}{when}", file=sys.stderr)
+            return EXIT_BREAKDOWN
     return run
 
 

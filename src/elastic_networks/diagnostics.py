@@ -36,6 +36,7 @@ def network_energy(state, params, bundle=None):
 
     bundle is the stacked derivative bundle of state, if already built.
     """
+    params.require_fit(state)
     if bundle is None:
         bundle = geometry.finite_differences(state)
     return float(np.sum(_energies(bundle, params.lam, 1.0 / state.N)))

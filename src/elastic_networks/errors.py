@@ -1,14 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types: a ConfigurationError rejects input, a BreakdownError stops a run."""
 
 
 class ConfigurationError(ValueError):
     """Inputs cannot form a valid discrete problem (grid too coarse, shape mismatch...)."""
 
 
-class RegularityError(RuntimeError):
-    """A curve lost the regular-parametrization property |f'| > 0."""
+class BreakdownError(RuntimeError):
+    """A run broke down; evolve sets .time (of the failing step) and .trajectory."""
 
-    time = None  # set by evolve to the time of the failing step
+    time = None
+
+
+class RegularityError(BreakdownError):
+    """A curve lost the regular-parametrization property |f'| > 0."""
 
     def __init__(self, message, curve=None, node=None):
         super().__init__(message)
@@ -16,19 +20,15 @@ class RegularityError(RuntimeError):
         self.node = node
 
 
-class NonCollinearError(RuntimeError):
+class NonCollinearError(BreakdownError):
     """The junction tangents span less than two dimensions."""
 
-    time = None  # set by evolve to the time of the failing step
 
-
-class StepError(RuntimeError):
+class StepError(BreakdownError):
     """A time step could not be completed."""
 
-    time = None  # set by evolve to the time of the failing step
 
-
-class DiffeoBreakdownError(RuntimeError):
+class DiffeoBreakdownError(BreakdownError):
     """A recovered tangential diffeomorphism lost monotonicity."""
 
     def __init__(self, message, time=None, curve=None):

@@ -108,6 +108,14 @@ def _scales(num):
     return scales[:, None, None]
 
 
+def _is_finite(value):
+    """math.isfinite(value), and False on an int past the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_grid(nodes):
     # the trailing (N+1, n) axes of one curve or of a stacked network
     if nodes.shape[-1] < 2:
@@ -152,10 +160,10 @@ class NetworkState:
     def __init__(self, curves, time=0.0):
         try:
             nodes = np.array([getattr(c, "nodes", c) for c in curves], dtype=float)
-        except (TypeError, ValueError) as err:  # not a sequence, ragged, or not numbers
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigurationError(
-                "curves must be a sequence of curves that share the node count "
-                "and ambient dimension, and hold only numbers") from err
+                "curves must be a sequence of curves that share the node count and "
+                "ambient dimension, and hold only numbers in the float range") from err
         if nodes.shape[0] == 0:
             raise ConfigurationError("a network needs at least one curve")
         if nodes.ndim != 3:
@@ -163,11 +171,11 @@ class NetworkState:
         _check_grid(nodes)
         if isinstance(time, bool) or not isinstance(time, numbers.Real):
             raise ConfigurationError(f"time must be a real number, got {time!r}")
-        if not (math.isfinite(time) and np.isfinite(nodes).all()):
+        if not (_is_finite(time) and np.isfinite(nodes).all()):
             raise ConfigurationError("node coordinates and time must be finite")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "time", float(time))
 
     @property
     def curves(self):
@@ -268,27 +276,17 @@ def _ds3(bundle):
 
 
 def _ds4(bundle):
-    # fourth arclength derivative, with its tangential part included
+    # fourth arclength derivative up to a multiple of f', which its one
+    # caller projects away
     d1, d2, d3, d4 = bundle.d1, bundle.d2, bundle.d3, bundle.d4
     s = bundle.speed
     p21 = _dots(d2, d1)
-    p31 = _dots(d3, d1)
-    p32 = _dots(d3, d2)
-    n2 = _dots(d2, d2)
-    tang = (
-        -_dots(d4, d1) / s**5
-        - 3.0 * p32 / s**5
-        + 13.0 * p31 * p21 / s**7
-        + 13.0 * p21 * n2 / s**7
-        - 28.0 * p21**3 / s**9
-    )
     return (
         d4 / s[..., None]**4
         - 6.0 * (p21 / s**6)[..., None] * d3
-        - 4.0 * (n2 / s**6)[..., None] * d2
-        - 4.0 * (p31 / s**6)[..., None] * d2
+        - 4.0 * (_dots(d2, d2) / s**6)[..., None] * d2
+        - 4.0 * (_dots(d3, d1) / s**6)[..., None] * d2
         + 19.0 * (p21**2 / s**8)[..., None] * d2
-        + (tang / s)[..., None] * d1
     )
 
 
@@ -298,10 +296,11 @@ def nabla_s_kappa(bundle):
 
 
 def nabla_s2_kappa(bundle):
-    """Second covariant arclength derivative of the curvature vector."""
-    t = unit_tangents(bundle)
-    tang3 = _dots(_ds3(bundle), t)[..., None]
-    return _normal_part(_ds4(bundle), t) - tang3 * curvature(bundle)
+    """Second covariant arclength derivative of the curvature vector:
+    (d_s^4 f)^perp + |kappa|^2 kappa, since <d_s^3 f, T> = -|kappa|^2."""
+    kap = curvature(bundle)
+    return (_normal_part(_ds4(bundle), unit_tangents(bundle))
+            + _dots(kap, kap)[..., None] * kap)
 
 
 def phi_star(bundle, lam):

@@ -27,6 +27,7 @@ import scipy.sparse as sp
 
 from . import geometry, junction, wellposed
 from .errors import (
+    BreakdownError,
     ConfigurationError,
     NonCollinearError,
     RegularityError,
@@ -58,7 +59,7 @@ class FlowParams:
         try:
             ends = np.asarray(self.endpoints, dtype=float)
             lam = np.asarray(self.lam, dtype=float)
-        except (TypeError, ValueError) as err:  # ragged, or not numbers
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigurationError(
                 f"endpoints and lam must be numeric arrays: {err}") from err
         object.__setattr__(self, "endpoints", ends)
@@ -89,7 +90,7 @@ class SolverConfig:
     def __post_init__(self):
         for name, value in (("dt", self.dt), ("t_end", self.t_end)):
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0 < value < math.inf):
+                    or not (value > 0 and geometry._is_finite(value))):
                 raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
         if (not isinstance(self.store_every, numbers.Integral)
                 or isinstance(self.store_every, bool) or self.store_every < 1):
@@ -319,11 +320,11 @@ def picard_step(state, params, config, *, bundle=None, time=None):
     raise StepError(f"Picard iteration stalled (last change {change:.3e})")
 
 
-def _require_nc(bundle):
-    # NC on the junction tangents of a stacked bundle; one curve has none
+def _require_nc(bundle, error):
+    # raise error unless a stacked bundle's junction tangents meet NC (one curve has none)
     if len(bundle.speed) >= 2 and junction.span_dimension(junction.tangents(bundle)) < 2:
-        raise NonCollinearError("non-collinearity condition (NC) violated: "
-                                "the junction tangents are collinear")
+        raise error("non-collinearity condition (NC) violated: "
+                    "the junction tangents are collinear")
 
 
 def regularity_guard(bundle, initial_margin):
@@ -344,19 +345,18 @@ def regularity_guard(bundle, initial_margin):
             f"at node {node} of curve {curve}",
             curve=curve, node=node,
         )
-    _require_nc(bundle)
+    _require_nc(bundle, NonCollinearError)
 
 
 def evolve(state, params, config, observers=(), preflight="strict"):
     """Run the flow from state for a time t_end; returns the stored trajectory.
 
     preflight is "strict" (reject incompatible data) or "warn" (only warn
-    about incompatible data; collinear junction tangents stay fatal).  An
-    initial network with a vanishing speed, or params that do not fit it,
-    are rejected either way with a ConfigurationError.  A mid-run failure
-    (StepError, RegularityError, or NonCollinearError once an accepted
-    state loses NC) carries the frames so far in .trajectory and the time
-    of the failing step in .time.
+    about it).  Either way a ConfigurationError rejects an initial network
+    with a vanishing speed or collinear junction tangents, or params that
+    do not fit it.  A mid-run failure is a BreakdownError (StepError,
+    RegularityError, or NonCollinearError once a state loses NC) carrying
+    the frames so far in .trajectory and the failing step's time in .time.
     """
     if preflight not in ("strict", "warn"):
         raise ConfigurationError("preflight must be strict or warn")
@@ -365,7 +365,7 @@ def evolve(state, params, config, observers=(), preflight="strict"):
         bundle = geometry.finite_differences(state)
     except RegularityError as err:  # invalid input, not a breakdown
         raise ConfigurationError(f"initial network is not regular: {err}") from err
-    _require_nc(bundle)
+    _require_nc(bundle, ConfigurationError)
     failing = [r for r in wellposed.check_compat_order0(state, params, bundle)
                if not r.passed]
     if failing:
@@ -395,7 +395,7 @@ def evolve(state, params, config, observers=(), preflight="strict"):
                 trajectory.append(state)
             for obs in observers:
                 obs(state)
-    except (StepError, RegularityError, NonCollinearError) as err:
+    except BreakdownError as err:
         err.time = time  # the step code raises without a time
         err.trajectory = trajectory
         raise

@@ -45,6 +45,7 @@ def order0_residuals(network, params, bundle):
     third_order_sum the norm of the third-order junction sum (0.0 for one
     curve).  bundle is the stacked derivative bundle of network.
     """
+    params.require_fit(network)
     nodes = network.nodes
     third = 0.0
     if network.q >= 2:

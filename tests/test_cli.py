@@ -232,10 +232,13 @@ def test_config_roundtrip(tmp_path):
     {"store_every": 2.5}, {"store_every": True}, {"dt": "abc"}, {"picard_max": None},
     {"dt": 1e-300, "t_end": 1e10}, {"picard_tol": 1e-12},
     {"dt": True, "t_end": 2}, {"dt": "1e-5"}, {"t_end": None},
+    # JSON reads a 401-digit literal as an exact int that no float holds
+    {"dt": 10**400}, {"t_end": 10**400},
 ], ids=["dt-nan", "dt-inf", "t_end-inf", "picard_tol-nan", "picard_floor-inf",
         "delta_guard_factor-nan", "picard_max-float", "store_every-float",
         "store_every-bool", "dt-string", "picard_max-null", "step-count-overflow",
-        "unknown-key", "dt-bool", "dt-numeric-string", "t_end-null"])
+        "unknown-key", "dt-bool", "dt-numeric-string", "t_end-null",
+        "dt-int-past-float-range", "t_end-int-past-float-range"])
 def test_invalid_config_values_are_rejected(tmp_path, capsys, fields):
     net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
     path = str(tmp_path / "config.json")

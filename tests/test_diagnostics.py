@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from elastic_networks import diagnostics, fixtures, geometry, wellposed
+from elastic_networks.errors import ConfigurationError
 from elastic_networks.geometry import CurveSamples, NetworkState
+from elastic_networks.solver import FlowParams
 
 
 def test_circle_energy_matches_closed_form():
@@ -73,11 +75,28 @@ def test_boundary_residuals_vanish_on_equilibrium():
 
 def test_boundary_residuals_flag_violations():
     state, params = fixtures.triod_equilibrium(N=48)
-    from elastic_networks.solver import FlowParams, NetworkState
     unbalanced = FlowParams(endpoints=params.endpoints,
                             lam=np.array([1.0, 1.0, 3.0]))
     res = diagnostics.boundary_residuals(state, unbalanced)
     assert res["third_order_sum"] > 0.5
+
+
+@pytest.mark.parametrize("unfit", [
+    lambda params: FlowParams(params.endpoints[:1], params.lam[:1]),
+    lambda params: FlowParams(np.zeros((3, 3)), params.lam),
+], ids=["wrong-q", "wrong-n"])
+def test_diagnostics_reject_params_that_do_not_fit(unfit):
+    # lam of one curve broadcasts over three, and the endpoint rows
+    # over the curves, unless the fit is checked
+    state, params = fixtures.triod_bent(N=32)
+    params = unfit(params)
+    bundle = geometry.finite_differences(state)
+    for monitor in (diagnostics.record_state, diagnostics.network_energy,
+                    diagnostics.boundary_residuals):
+        with pytest.raises(ConfigurationError, match="endpoints must have the shape"):
+            monitor(state, params)
+    with pytest.raises(ConfigurationError, match="endpoints must have the shape"):
+        wellposed.check_compat_order0(state, params, bundle)
 
 
 # the record condition of each boundary_residuals key

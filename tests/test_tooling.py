@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -308,3 +309,20 @@ def test_src_imports_inside_functions_only_from_the_allow_list():
              for module in _imports_in_functions(ast.parse(path.read_text()))}
     assert found - IMPORTS_IN_FUNCTIONS_KEPT == set(), "imports inside functions"
     assert IMPORTS_IN_FUNCTIONS_KEPT - found == set(), "allow-list entries no longer used"
+
+
+def _python_floor():
+    # (major, minor) of pyproject.toml's requires-python = ">=X.Y"; read
+    # without tomllib, which the declared floor itself (3.10) lacks
+    match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    assert match, "requires-python is not of the form >=X.Y"
+    return int(match[1]), int(match[2])
+
+
+def test_src_parses_with_the_declared_python_floor():
+    # grammar newer than the floor (except*, type statements, PEP 695
+    # generics ...) fails here rather than on an older interpreter
+    floor = _python_floor()
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
