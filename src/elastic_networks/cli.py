@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import diagnostics, geometry, io, junction, repar, studies, wellposed
 from .errors import (
@@ -42,17 +43,25 @@ def _load(loader, path, kind):
         raise SystemExit(EXIT_IO)
 
 
+def _print_warning(message, *_where):
+    # a warning's text in the CLI's own style: no file, line or category
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _run_command(command):
     """command(args, state, params, config) on the loaded files (SolverConfig()
-    without --config); exits 1 with "error: ..." on a rejected input (a
-    collinear initial junction included), 2 with "breakdown: ..." on a
-    breakdown of the run (NC lost mid-run included)."""
+    without --config); prints a warning of the run (the preflight's under
+    --warn) as "warning: ...", exits 1 with "error: ..." on a rejected
+    input (a collinear initial junction included), 2 with "breakdown: ..."
+    on a breakdown of the run (NC lost mid-run included)."""
     def run(args):
         state, params = _load(io.load_network, args.network, "network")
         config = (SolverConfig() if args.config is None
                   else _load(io.load_config, args.config, "config"))
         try:
-            return command(args, state, params, config)
+            with warnings.catch_warnings():  # restores showwarning
+                warnings.showwarning = _print_warning
+                return command(args, state, params, config)
         except ConfigurationError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_INVALID

@@ -86,10 +86,16 @@ def _block_operator(count, num):
     return sparse.block_diag([stacked] * count, format="csr")
 
 
+# The arrays of a CSR matrix without the scipy.sparse object around them,
+# which costs more to construct than the step that reads it once.
+CSRArrays = namedtuple("CSRArrays", "data indices indptr shape")
+
+
 def csr_product(matrix, x):
-    """matrix @ x for a CSR matrix and a float vector or (rows, k) array,
-    bit for bit: the compiled kernel @ calls, on a zeroed buffer as @
-    does, without @'s checks and dispatch."""
+    """matrix @ x for a CSR matrix (a scipy.sparse csr_matrix or its
+    CSRArrays) and a float vector or (rows, k) array, bit for bit: the
+    compiled kernel @ calls, on a zeroed buffer as @ does, without @'s
+    checks and dispatch."""
     rows, cols = matrix.shape
     out = np.zeros((rows, *x.shape[1:]))
     if x.ndim == 1:
@@ -159,7 +165,9 @@ class NetworkState:
 
     def __init__(self, curves, time=0.0):
         try:
-            nodes = np.array([getattr(c, "nodes", c) for c in curves], dtype=float)
+            # a stacked array is copied whole; a sequence curve by curve
+            nodes = np.array(curves if getattr(curves, "ndim", 0) == 3
+                             else [getattr(c, "nodes", c) for c in curves], dtype=float)
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigurationError(
                 "curves must be a sequence of curves that share the node count and "
@@ -201,6 +209,13 @@ class NetworkState:
 # d1..d4 are slices of one contiguous array.
 DerivativeBundle = namedtuple("DerivativeBundle", "d1 d2 d3 d4 speed")
 
+# (nodes, bundle): the read-only bundle of one read-only node array,
+# which finite_differences returns for that very array instead of
+# building it again.  Only solver.evolve fills it, with the state it has
+# just accepted, so that its observers differentiate that state for
+# free; it is None outside evolve.
+_shared = None
+
 
 def finite_differences(curves):
     """Compute d1..d4 and the speed of one curve or of a whole network.
@@ -210,9 +225,14 @@ def finite_differences(curves):
     operator differentiates the contiguous node array of all curves at
     once into one contiguous (..., 4, N+1, n) array, and the bundle's
     fields are slices of it that keep the leading shape.  Per-curve and
-    stacked results agree bit for bit.
+    stacked results agree bit for bit.  While solver.evolve runs, the
+    node array of the state it accepted last gets that state's bundle,
+    whose arrays are read-only.
     """
     nodes = curves.nodes
+    shared = _shared  # one read: evolve may replace it in another thread
+    if shared is not None and nodes is shared[0]:
+        return shared[1]
     *lead, num, n = nodes.shape
     count = math.prod(lead)
     raw = csr_product(_block_operator(count, num), nodes.reshape(count * num, n))
@@ -265,13 +285,14 @@ def _ds3(bundle):
     # third arclength derivative, with its tangential part included
     d1, d2, d3 = bundle.d1, bundle.d2, bundle.d3
     s = bundle.speed
+    s5 = s**5
     p21 = _dots(d2, d1)
     return (
         d3 / s[..., None]**3
-        - (_dots(d3, d1) / s**5)[..., None] * d1
-        - 3.0 * (p21 / s**5)[..., None] * d2
+        - (_dots(d3, d1) / s5)[..., None] * d1
+        - 3.0 * (p21 / s5)[..., None] * d2
         + 4.0 * (p21**2 / s**7)[..., None] * d1
-        - (_dots(d2, d2) / s**5)[..., None] * d1
+        - (_dots(d2, d2) / s5)[..., None] * d1
     )
 
 

@@ -14,6 +14,10 @@ from . import geometry
 from .errors import NonCollinearError
 
 DEFAULT_RANK_TOL = 1e-8
+# planar tangents whose first two rows have |T0 x T1| above this share
+# of |T|_F^2 span two dimensions without an SVD
+PLANAR_CROSS_SHARE = 1e-4
+FLOAT_TINY = np.finfo(float).tiny
 
 
 def nc_value(tangents):
@@ -30,6 +34,18 @@ def span_dimension(tangents):
     Singular values up to DEFAULT_RANK_TOL times the largest one count as zero.
     """
     t = np.atleast_2d(np.asarray(tangents, dtype=float))
+    if t.ndim == 2 and t.shape[0] >= 2 and t.shape[1] == 2:
+        # Cauchy-Binet gives s1 s2 >= |T0 x T1|, and s1^2 <= |T|_F^2, so
+        # s2/s1 >= |T0 x T1| / |T|_F^2: far above DEFAULT_RANK_TOL here,
+        # and the rank of two columns is at most 2.  A normal |T|_F^2
+        # keeps the rounding of the products far below the share; NaN,
+        # inf, zero and near-parallel rows fail the test and take the SVD
+        rows = t.tolist()
+        (a, b), (c, d) = rows[0], rows[1]
+        frobenius = sum(x * x + y * y for x, y in rows)
+        if (frobenius >= FLOAT_TINY
+                and abs(a * d - b * c) > PLANAR_CROSS_SHARE * frobenius):
+            return 2
     sv = np.linalg.svd(t, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0

@@ -12,7 +12,7 @@ and the junction projectors E_i) are taken once per step.  All
 node-wise work runs on the stacked (q, N+1, n) layout of
 NetworkState.nodes, with one stacked derivative bundle per distinct
 network state: each accepted state is differentiated once, and its
-bundle serves the guard and the next step.
+bundle serves the guard, the observers and the next step.
 """
 
 import math
@@ -33,7 +33,13 @@ from .errors import (
     RegularityError,
     StepError,
 )
-from .geometry import NetworkState, boundary_offsets, csr_product, stencil_weights
+from .geometry import (
+    CSRArrays,
+    NetworkState,
+    boundary_offsets,
+    csr_product,
+    stencil_weights,
+)
 
 LINEAR_RESIDUAL_TOL = 1e-8
 PICARD_TOL = 1e-12
@@ -111,9 +117,10 @@ class SolverConfig:
 def _solve(matrix, lu, perm_c, rhs):
     """Nodes (q, N+1, n) solving the factored step for a (q, N+1, n) rhs.
 
-    lu factors matrix with its columns in the order perm_c (SuperLU's
-    convention: column i of matrix is column perm_c[i] of the factored
-    one); each solve is mapped back with x[perm_c].
+    matrix is the step's CSRArrays; lu factors it with its columns in the
+    order perm_c (SuperLU's convention: column i of matrix is column
+    perm_c[i] of the factored one); each solve is mapped back with
+    x[perm_c].
     """
     b = rhs.ravel()
     x = lu.solve(b)[perm_c]
@@ -214,9 +221,9 @@ def _step_matrix(shape, d_pow4, e_matrices, dt):
     """Sparse matrix of one implicit step of a (q, N+1, n) network.
 
     d_pow4 and e_matrices are the step's frozen coefficients, taken in
-    picard_step.  Returns the matrix twice, as CSR and as CSC with its
-    columns in the pattern's order perm_c (ready for SuperLU to factor
-    without ordering), and perm_c.
+    picard_step.  Returns the matrix twice, as CSRArrays and as a CSC
+    matrix with its columns in the pattern's order perm_c (ready for
+    SuperLU to factor without ordering), and perm_c.
     """
     q, num, n = shape
     pattern = _step_pattern(q, num - 1, n)
@@ -229,8 +236,8 @@ def _step_matrix(shape, d_pow4, e_matrices, dt):
     values.append(pattern.constants)
     values = np.concatenate(values)
     size = q * num * n
-    return (sp.csr_matrix((values[pattern.order], pattern.indices, pattern.indptr),
-                          shape=(size, size)),
+    return (CSRArrays(values[pattern.order], pattern.indices, pattern.indptr,
+                      (size, size)),
             sp.csc_matrix((values[pattern.csc_order], pattern.csc_indices,
                            pattern.csc_indptr), shape=(size, size)),
             pattern.perm_c)
@@ -357,6 +364,9 @@ def evolve(state, params, config, observers=(), preflight="strict"):
     do not fit it.  A mid-run failure is a BreakdownError (StepError,
     RegularityError, or NonCollinearError once a state loses NC) carrying
     the frames so far in .trajectory and the failing step's time in .time.
+    Each observer is called with every accepted state; there
+    geometry.finite_differences of that state returns the read-only
+    bundle evolve built for it.
     """
     if preflight not in ("strict", "warn"):
         raise ConfigurationError("preflight must be strict or warn")
@@ -388,8 +398,12 @@ def evolve(state, params, config, observers=(), preflight="strict"):
                          else (step + 1) * increment + start)
             state = picard_step(state, params, config, bundle=bundle, time=time)
             # the accepted state's one bundle: the guard reads its speeds
-            # and junction tangents, and the next step starts from it
+            # and junction tangents, the observers get it from
+            # finite_differences, and the next step starts from it
             bundle = geometry.finite_differences(state)
+            for field in bundle:
+                field.flags.writeable = False
+            geometry._shared = (state.nodes, bundle)
             regularity_guard(bundle, initial_margin)
             if (step + 1) % config.store_every == 0 or step == num_steps - 1:
                 trajectory.append(state)
@@ -399,4 +413,6 @@ def evolve(state, params, config, observers=(), preflight="strict"):
         err.time = time  # the step code raises without a time
         err.trajectory = trajectory
         raise
+    finally:
+        geometry._shared = None  # no bundle outlives the run
     return trajectory

@@ -537,15 +537,38 @@ def test_check_prints_one_rendering_per_record(tmp_path, capsys):
         "[ok ] fourth-derivative-match[junction, curves 1 and 2] = ")
 
 
+def _assert_cli_warnings(err, count):
+    # the preflight warning in the CLI's style, not Python's
+    # "<path>/solver.py:<line>: UserWarning: ..." with the source line
+    lines = err.splitlines()
+    assert len(lines) == count
+    assert all(line.startswith("warning: incompatible initial network: ")
+               for line in lines)
+    assert "solver.py" not in err and "UserWarning" not in err
+
+
+# shown, not raised, as without pytest's error filter
+@pytest.mark.filterwarnings("default:incompatible initial network:UserWarning")
 def test_equivalence_small_run(tmp_path, capsys):
     net = _write_network(tmp_path, "net.json", fixtures.triod_bent_skewed(N=64))
     config = _write_config(tmp_path, dt=1e-5, t_end=2e-4)
-    with pytest.warns(UserWarning, match="incompatible initial network"):
-        code = cli.main(["equivalence", "--network", net, "--config", config,
-                         "--tol", "2e-3"])
-    out = capsys.readouterr().out
+    code = cli.main(["equivalence", "--network", net, "--config", config,
+                     "--tol", "2e-3"])
+    out, err = capsys.readouterr()
     assert code == cli.EXIT_OK
     assert "equivalence certificate" in out
+    _assert_cli_warnings(err, 2)  # one per run
+
+
+@pytest.mark.filterwarnings("default:incompatible initial network:UserWarning")
+def test_simulate_warn_prints_the_preflight_warning_in_cli_style(tmp_path, capsys):
+    net = _write_network(tmp_path, "net.json", fixtures.triod_bent_skewed(N=64))
+    config = _write_config(tmp_path, dt=1e-5, t_end=3e-5)
+    out = str(tmp_path / "run")
+    code = cli.main(["simulate", "--warn", "--network", net, "--config", config,
+                     "--out", out])
+    assert code == cli.EXIT_OK
+    _assert_cli_warnings(capsys.readouterr().err, 1)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])

@@ -26,6 +26,17 @@ def test_straight_line_energy_is_penalized_length():
                                                                        rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(9,), (3, 129), (4, 2049)])
+def test_trapezoid_sum_equals_numpy_bit_for_bit(shape):
+    # the energies and the first variation sum with np.trapezoid's own
+    # expression, without its argument handling; np.trapezoid is the oracle
+    rng = np.random.default_rng(5)
+    for h in (1.0 / 8, 1.0 / 128, 1.0 / 2048):
+        y = rng.uniform(0.0, 10.0, size=shape)
+        assert (diagnostics._trapezoid(y, h).tobytes()
+                == np.trapezoid(y, dx=h, axis=-1).tobytes())
+
+
 def test_network_energy_sums_curves():
     state, params = fixtures.triod_equilibrium(N=48)
     total = diagnostics.network_energy(state, params)

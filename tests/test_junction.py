@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elastic_networks import geometry, junction
 from elastic_networks.errors import NonCollinearError
@@ -45,6 +46,35 @@ def test_span_dimension():
     assert junction.span_dimension(np.array([[1.0, 0.0, 0.0],
                                              [0.0, 1.0, 0.0],
                                              [0.0, 0.0, 1.0]])) == 3
+
+
+def _svd_span_dimension(tangents):
+    # the span as an SVD count alone (test oracle)
+    sv = np.linalg.svd(np.atleast_2d(tangents), compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > junction.DEFAULT_RANK_TOL * sv[0]))
+
+
+# a planar row: zero, or a length across 1e-12..1e12 along the base
+# direction, turned by a half turn and by a small or a free angle
+_planar_row = st.tuples(
+    st.floats(-13.0, 12.0).map(lambda e: 0.0 if e < -12.0 else 10.0**e),
+    st.sampled_from([0.0, np.pi]),
+    st.one_of(st.floats(-np.pi, np.pi), st.floats(-1e-3, 1e-3),
+              st.sampled_from([0.0, 1e-14, -1e-12, 1e-10, -1e-8, 1e-6, -1e-4])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.floats(0.0, 2.0 * np.pi), rows=st.lists(_planar_row, min_size=2,
+                                                       max_size=5))
+def test_planar_span_dimension_equals_the_svd_count(base, rows):
+    # the cross-product shortcut for planar tangents may only say 2 where
+    # the SVD count says 2, on near-parallel, scaled and zero rows alike
+    t = np.array([[r * np.cos(base + flip + turn), r * np.sin(base + flip + turn)]
+                  for r, flip, turn in rows])
+    assert junction.span_dimension(t) == _svd_span_dimension(t)
 
 
 def test_build_Q_symmetric_triod_spectrum():

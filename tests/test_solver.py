@@ -358,6 +358,7 @@ def test_nc_lost_mid_run_carries_time_and_partial_trajectory(monkeypatch):
     monkeypatch.setattr(junction, "span_dimension", collinear_on_third)
     with pytest.raises(NonCollinearError, match=r"\(NC\) violated") as exc_info:
         solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=5e-5))
+    assert geometry._shared is None  # emptied: the failing state filled it
     err = exc_info.value
     assert len(spans) == 3
     assert err.time == pytest.approx(2e-5, rel=1e-12)
@@ -547,19 +548,23 @@ STEP_ITERATES = [7, 7, 7]
 
 
 def _step_matrix_of(state, dt):
-    # the step matrix frozen at state, as picard_step builds it
+    # the step matrix frozen at state, as picard_step builds it: its CSR
+    # arrays, the same as a scipy.sparse.csr_matrix for the oracles, the
+    # column-permuted CSC matrix and perm_c
     bundle = geometry.finite_differences(state)
     e = None if state.q == 1 else junction.projectors(junction.tangents(bundle),
                                                        1.0 / bundle.speed[:, 0])
-    return solver._step_matrix(state.nodes.shape, 1.0 / bundle.speed[:, 2:-2]**4,
-                               e, dt)
+    arrays, permuted, perm_c = solver._step_matrix(
+        state.nodes.shape, 1.0 / bundle.speed[:, 2:-2]**4, e, dt)
+    return (arrays, sp.csr_matrix(arrays[:3], shape=arrays.shape), permuted,
+            perm_c)
 
 
 @pytest.mark.parametrize("network", STEP_NETWORKS)
 def test_fixed_pattern_step_matrix_equals_coo_assembly(network):
     state, params = network()
     dt = 1e-5
-    matrix, _, _ = _step_matrix_of(state, dt)
+    matrix, _, _, _ = _step_matrix_of(state, dt)
     oracle = _coo_step_matrix(state, params, dt)
     assert matrix.shape == oracle.shape
     assert np.array_equal(matrix.indptr, oracle.indptr)
@@ -569,13 +574,13 @@ def test_fixed_pattern_step_matrix_equals_coo_assembly(network):
 
 @pytest.mark.parametrize("network", STEP_NETWORKS)
 def test_step_matrix_kernel_product_equals_matmul_bit_for_bit(network):
-    # _solve calls the compiled kernel behind @ directly
+    # _solve calls the compiled kernel behind @ directly, on the CSR arrays
     state, _ = network()
-    matrix, _, _ = _step_matrix_of(state, 1e-5)
+    arrays, matrix, _, _ = _step_matrix_of(state, 1e-5)
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.standard_normal(matrix.shape[1])
-        assert geometry.csr_product(matrix, x).tobytes() == (matrix @ x).tobytes()
+        assert geometry.csr_product(arrays, x).tobytes() == (matrix @ x).tobytes()
 
 
 @pytest.mark.parametrize("network", STEP_NETWORKS)
@@ -583,7 +588,7 @@ def test_cached_column_order_factors_like_default_superlu(network):
     # SuperLU's own ordering of the real matrix is the oracle: the cached
     # order, the pivots, the fill and every solve must be the same
     state, _ = network()
-    matrix, permuted, perm_c = _step_matrix_of(state, 1e-5)
+    arrays, matrix, permuted, perm_c = _step_matrix_of(state, 1e-5)
     reference = sp.linalg.splu(matrix.tocsc())
     assert np.array_equal(perm_c, reference.perm_c)
     assert np.array_equal(permuted.toarray()[:, perm_c], matrix.toarray())
@@ -592,8 +597,8 @@ def test_cached_column_order_factors_like_default_superlu(network):
     assert (lu.L.nnz, lu.U.nnz) == (reference.L.nnz, reference.U.nnz)
     identity = np.arange(matrix.shape[0])
     rhs = np.random.default_rng(3).standard_normal(state.nodes.shape)
-    assert np.array_equal(solver._solve(matrix, lu, perm_c, rhs),
-                          solver._solve(matrix, reference, identity, rhs))
+    assert np.array_equal(solver._solve(arrays, lu, perm_c, rhs),
+                          solver._solve(arrays, reference, identity, rhs))
 
 
 def _fresh_step_rhs(start_bundle, current_bundle, base, params, dt):
@@ -667,26 +672,26 @@ def test_wrong_factor_fails_the_residual_check():
     # the factor of the dt = 1e-2 matrix is far from the inverse of the
     # dt = 1e-6 one; refinement cannot close the gap
     state, _ = fixtures.triod_bent(N=32)
-    matrix, _, perm_c = _step_matrix_of(state, 1e-6)
-    _, other, _ = _step_matrix_of(state, 1e-2)
+    arrays, _, _, perm_c = _step_matrix_of(state, 1e-6)
+    _, _, other, _ = _step_matrix_of(state, 1e-2)
     lu = sp.linalg.splu(other, permc_spec="NATURAL")
     with pytest.raises(StepError, match="linear step residual"):
-        solver._solve(matrix, lu, perm_c, np.ones(state.nodes.shape))
+        solver._solve(arrays, lu, perm_c, np.ones(state.nodes.shape))
 
 
 def test_nan_in_the_linear_solve_is_a_step_error():
     # max|A x - b| is NaN then, and NaN > tol is False: the check must
     # be written to fail on it
     state, _ = fixtures.triod_bent(N=32)
-    matrix, permuted, perm_c = _step_matrix_of(state, 1e-6)
+    arrays, matrix, permuted, perm_c = _step_matrix_of(state, 1e-6)
     lu = sp.linalg.splu(permuted, permc_spec="NATURAL")
     rhs = np.ones(state.nodes.shape)
-    x = solver._solve(matrix, lu, perm_c, rhs)
+    x = solver._solve(arrays, lu, perm_c, rhs)
     assert np.all(np.isfinite(x))
     assert np.max(np.abs(matrix @ x.ravel() - rhs.ravel())) <= 1e-8
     rhs[1, 7, 0] = np.nan
     with pytest.raises(StepError, match="linear step residual nan"):
-        solver._solve(matrix, lu, perm_c, rhs)
+        solver._solve(arrays, lu, perm_c, rhs)
 
 
 def _failing_on_call(monkeypatch, call):
@@ -762,11 +767,13 @@ def test_every_step_failure_carries_its_time_and_the_frames_before(
     times = np.linspace(0.0, 1e-4, 11)
 
     def break_next_step(frame):
+        assert geometry._shared[0] is frame.nodes  # the frame's bundle is shared
         if frame.time == times[1]:
             patch(monkeypatch)
 
     with pytest.raises(error, match=message) as exc_info:
         solver.evolve(state, params, config, observers=(break_next_step,))
+    assert geometry._shared is None  # no bundle outlives the run
     err = exc_info.value
     assert err.time == times[2]
     assert err.trajectory[0] is state
@@ -797,6 +804,41 @@ def test_a_huge_step_count_runs_its_first_step():
     with pytest.raises(Stop):
         solver.evolve(state, params, config, observers=(observer,))
     assert seen == [1e13 / config.num_steps]
+
+
+def test_observers_differentiate_the_accepted_state_for_free(monkeypatch):
+    # evolve shares each accepted state's bundle, read-only, with
+    # finite_differences: a record_state observer builds no bundle, and
+    # its records equal ones recomputed from fresh bundles after the run
+    state, params = fixtures.triod_bent(N=32)
+    product = geometry.csr_product
+    builds = []  # the nodes of every bundle built, as bytes
+
+    def building(matrix, x):
+        builds.append(x.tobytes())
+        return product(matrix, x)
+
+    monkeypatch.setattr(geometry, "csr_product", building)
+    accepted, records, observer_builds = [], [], []
+
+    def observer(frame):
+        before = len(builds)
+        records.append(diagnostics.record_state(frame, params))
+        observer_builds.append(len(builds) - before)
+        accepted.append(frame)
+        bundle = geometry.finite_differences(frame)
+        assert bundle is geometry._shared[1]
+        for field in bundle:
+            with pytest.raises(ValueError, match="read-only"):
+                field[...] = 0.0
+
+    solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=5e-5),
+                  observers=(observer,))
+    assert geometry._shared is None  # no bundle outlives the run
+    assert observer_builds == [0] * 5
+    # one build of each accepted state: evolve's
+    assert [builds.count(frame.nodes.tobytes()) for frame in accepted] == [1] * 5
+    assert records == [diagnostics.record_state(frame, params) for frame in accepted]
 
 
 def test_handed_in_bundle_is_not_rebuilt(monkeypatch):

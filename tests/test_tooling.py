@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import math
 import re
 from pathlib import Path
@@ -326,3 +327,27 @@ def test_src_parses_with_the_declared_python_floor():
     floor = _python_floor()
     for path in sorted(SRC.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
+def test_ab_pairs_summary_arithmetic_on_canned_results():
+    # tools/ab_pairs.py's summary of runs it did not start: medians and
+    # inclusive quartiles per side, and the pairs the change read lower
+    ab_pairs = _load(ROOT / "tools" / "ab_pairs.py")
+    stdout = "wall_s 1.0 s\n" + json.dumps({
+        "correct": True, "attempted": 9, "failed": 0,
+        "metrics": {"wall_s": {"value": 0.25, "unit": "s"},
+                    "ok_ratio": {"value": 1.0, "unit": "ratio"}}}) + "\n"
+    assert ab_pairs.parse_result(stdout) == (True, {"wall_s": 0.25, "ok_ratio": 1.0})
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.9, 2.5, 2.0, 3.9, 5.0]  # lower, higher, lower, lower, tie
+    pairs = [({"wall_s": p, "ok_ratio": 1.0}, {"wall_s": c, "ok_ratio": 1.0})
+             for p, c in zip(parent, change)]
+    summary = ab_pairs.summarize(pairs)
+    assert summary["wall_s"] == {"parent": (2.0, 3.0, 4.0), "change": (2.0, 2.5, 3.9),
+                                 "lower": 3, "ties": 1, "pairs": 5}
+    assert summary["ok_ratio"] == {"parent": (1.0, 1.0, 1.0), "change": (1.0, 1.0, 1.0),
+                                   "lower": 0, "ties": 5, "pairs": 5}
+    assert ab_pairs.format_summary(summary)[0] == (
+        "wall_s: change lower in 3/5 pairs (ties 1); median 3 -> 2.5 (-16.7 %); "
+        "parent IQR 2")
+    assert ab_pairs.summarize(pairs[:1])["wall_s"]["change"] == (0.9, 0.9, 0.9)
