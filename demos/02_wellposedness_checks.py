@@ -18,7 +18,7 @@ for name, (state, params) in (
 ):
     print(f"=== {name} ===")
     bundle = geometry.finite_differences(state)
-    records = wellposed.check_compat_order0(state, params, bundle)
+    records = wellposed.check_compat_order0(state, params)
     failing = [rec for rec in records if not rec.passed]
     print(f"order-0 compatibility: {'FAIL' if failing else 'ok'} "
           f"({len(records)} conditions)")

@@ -83,7 +83,7 @@ def cmd_check(args):
         print(f"[FAIL] {err}")
         return EXIT_INVALID
     failed = False
-    for rec in wellposed.check_compat_order0(state, params, bundle):
+    for rec in wellposed.check_compat_order0(state, params):
         print(f"[{'ok ' if rec.passed else 'FAIL'}] {rec}")
         failed |= not rec.passed
 

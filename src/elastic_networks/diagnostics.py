@@ -36,14 +36,10 @@ def elastic_energy(curve, lam=0.0):
     return float(_energies(geometry.finite_differences(curve), lam, curve.h))
 
 
-def network_energy(state, params, bundle=None):
-    """Sum of the penalized energies of all curves.
-
-    bundle is the stacked derivative bundle of state, if already built.
-    """
+def network_energy(state, params):
+    """Sum of the penalized energies of all curves."""
     params.require_fit(state)
-    if bundle is None:
-        bundle = geometry.finite_differences(state)
+    bundle = geometry.finite_differences(state)
     return float(np.sum(_energies(bundle, params.lam, 1.0 / state.N)))
 
 
@@ -82,19 +78,16 @@ def first_variation_check(curve, direction, functional="elastic", lam=0.0):
     return analytic, numeric
 
 
-def boundary_residuals(state, params, bundle=None):
+def boundary_residuals(state, params):
     """Nonlinear boundary-condition residuals of a network state.
 
     Returns a dict with the worst endpoint pin error, second-derivative
     magnitudes at both ends, junction concurrency spread, and the norm of
     the third-order junction sum: the max of each entry of
-    wellposed.order0_residuals.  bundle is the stacked derivative bundle
-    of state, if already built.
+    wellposed.order0_residuals.
     """
-    if bundle is None:
-        bundle = geometry.finite_differences(state)
     return {key: float(np.max(value, initial=0.0)) for key, value
-            in wellposed.order0_residuals(state, params, bundle).items()}
+            in wellposed.order0_residuals(state, params).items()}
 
 
 @dataclass(frozen=True)
@@ -115,12 +108,12 @@ DiagnosticsRecord.FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def record_state(state, params):
-    bundle = geometry.finite_differences(state)
+    # within solver.evolve each of these differentiates state for free
     return DiagnosticsRecord(
         time=state.time,
-        energy=network_energy(state, params, bundle),
-        min_speed=float(np.min(bundle.speed)),
-        **boundary_residuals(state, params, bundle),
+        energy=network_energy(state, params),
+        min_speed=float(np.min(geometry.finite_differences(state).speed)),
+        **boundary_residuals(state, params),
     )
 
 

@@ -211,10 +211,20 @@ DerivativeBundle = namedtuple("DerivativeBundle", "d1 d2 d3 d4 speed")
 
 # (nodes, bundle): the read-only bundle of one read-only node array,
 # which finite_differences returns for that very array instead of
-# building it again.  Only solver.evolve fills it, with the state it has
-# just accepted, so that its observers differentiate that state for
-# free; it is None outside evolve.
+# building it again.  Only _share fills it, for solver.evolve: with the
+# initial state and then each accepted one, so that the preflight, the
+# steps and the observers differentiate it for free; None outside evolve.
 _shared = None
+
+
+def _share(state):
+    """The bundle of state, made read-only and put in _shared."""
+    global _shared
+    bundle = finite_differences(state)
+    for field in bundle:
+        field.flags.writeable = False
+    _shared = (state.nodes, bundle)
+    return bundle
 
 
 def finite_differences(curves):
@@ -226,8 +236,8 @@ def finite_differences(curves):
     once into one contiguous (..., 4, N+1, n) array, and the bundle's
     fields are slices of it that keep the leading shape.  Per-curve and
     stacked results agree bit for bit.  While solver.evolve runs, the
-    node array of the state it accepted last gets that state's bundle,
-    whose arrays are read-only.
+    node array of the state it shared last (the initial one, then each
+    accepted one) gets that state's bundle, whose arrays are read-only.
     """
     nodes = curves.nodes
     shared = _shared  # one read: evolve may replace it in another thread

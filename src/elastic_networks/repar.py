@@ -87,28 +87,26 @@ def _end_slope(h0, h1, m0, m1):
 def _monotone_cubic(x, y, at):
     """Monotone cubic (PCHIP) interpolants through rows (x, y), evaluated at.
 
-    x (..., K) holds strictly increasing rows, y (K,) or (..., K) their
-    values and at (..., M) each row's points; points outside a row
-    extrapolate with its end pieces.  The slopes are Fritsch-Carlson's
-    weighted harmonic means with the one-sided ends of Moler's pchiptx,
-    and the pieces are formed and evaluated in the power basis with the
-    operations of SciPy's PchipInterpolator, so the values equal it bit
-    for bit.
+    x (..., K) holds strictly increasing rows of K >= 3 points (a map
+    inverted here has at least geometry.MIN_INTERVALS + 1), y (K,) or
+    (..., K) their values and at (..., M) each row's points; points
+    outside a row extrapolate with its end pieces.  The slopes are
+    Fritsch-Carlson's weighted harmonic means with the one-sided ends of
+    Moler's pchiptx, and the pieces are formed and evaluated in the power
+    basis with the operations of SciPy's PchipInterpolator, so the values
+    equal it bit for bit.
     """
     h = np.diff(x, axis=-1)
     m = np.diff(y, axis=-1) / h
-    if h.shape[-1] == 1:  # two points: the line
-        d = np.concatenate((m, m), axis=-1)
-    else:
-        m0, m1 = m[..., :-1], m[..., 1:]
-        w1, w2 = 2 * h[..., 1:] + h[..., :-1], h[..., 1:] + 2 * h[..., :-1]
-        # 0 at a sign change or a flat piece, where the mean is not used
-        extremum = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = np.where(extremum, 0.0, 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
-        first = _end_slope(h[..., 0], h[..., 1], m[..., 0], m[..., 1])
-        last = _end_slope(h[..., -1], h[..., -2], m[..., -1], m[..., -2])
-        d = np.concatenate((first[..., None], inner, last[..., None]), axis=-1)
+    m0, m1 = m[..., :-1], m[..., 1:]
+    w1, w2 = 2 * h[..., 1:] + h[..., :-1], h[..., 1:] + 2 * h[..., :-1]
+    # 0 at a sign change or a flat piece, where the mean is not used
+    extremum = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.where(extremum, 0.0, 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+    first = _end_slope(h[..., 0], h[..., 1], m[..., 0], m[..., 1])
+    last = _end_slope(h[..., -1], h[..., -2], m[..., -1], m[..., -2])
+    d = np.concatenate((first[..., None], inner, last[..., None]), axis=-1)
     t = (d[..., :-1] + d[..., 1:] - 2 * m) / h
     coeffs = np.broadcast_arrays(t / h, (m - d[..., :-1]) / h - t,
                                  d[..., :-1], y[..., :-1], x[..., :-1])

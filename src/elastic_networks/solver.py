@@ -11,8 +11,8 @@ the linearized third-order balance.  The frozen coefficients (1/|f'|^4
 and the junction projectors E_i) are taken once per step.  All
 node-wise work runs on the stacked (q, N+1, n) layout of
 NetworkState.nodes, with one stacked derivative bundle per distinct
-network state: each accepted state is differentiated once, and its
-bundle serves the guard, the observers and the next step.
+network state: the initial and each accepted state are differentiated
+once, for the preflight or the guard, the observers and the next step.
 """
 
 import math
@@ -269,18 +269,16 @@ def _step_rhs(rhs, current, base_dt, d_pow4, e_matrices, params):
 _Iterate = namedtuple("_Iterate", "nodes time")
 
 
-def picard_step(state, params, config, *, bundle=None, time=None):
+def picard_step(state, params, config, *, time=None):
     """Advance one time step, iterating the linearization to a fixed point.
 
-    The coefficients are frozen at state, the start of the step.  bundle
-    is state's stacked bundle when the caller already has it; it gives
-    the frozen coefficients and the first iterate.  time is the time of
-    the new state, state.time + dt by default.  The Picard iterates are
-    plain (q, N+1, n) arrays; the converged one is returned as a
-    NetworkState at that time.
+    The coefficients are frozen at state, the start of the step; state's
+    bundle (during evolve, the shared one) gives them and the first
+    iterate.  time is the time of the new state, state.time + dt by
+    default.  The Picard iterates are plain (q, N+1, n) arrays; the
+    converged one is returned as a NetworkState at that time.
     """
-    if bundle is None:
-        bundle = geometry.finite_differences(state)
+    bundle = geometry.finite_differences(state)
     if time is None:
         time = state.time + config.dt
     base = state.nodes
@@ -364,55 +362,54 @@ def evolve(state, params, config, observers=(), preflight="strict"):
     do not fit it.  A mid-run failure is a BreakdownError (StepError,
     RegularityError, or NonCollinearError once a state loses NC) carrying
     the frames so far in .trajectory and the failing step's time in .time.
-    Each observer is called with every accepted state; there
-    geometry.finite_differences of that state returns the read-only
-    bundle evolve built for it.
+    Each observer is called with every accepted state.  The initial
+    state and each accepted one are differentiated once: until the next,
+    geometry.finite_differences of that state returns its read-only
+    bundle to the preflight, the step and the observers.
     """
     if preflight not in ("strict", "warn"):
         raise ConfigurationError("preflight must be strict or warn")
     params.require_fit(state)
     try:
-        bundle = geometry.finite_differences(state)
+        bundle = geometry._share(state)
     except RegularityError as err:  # invalid input, not a breakdown
         raise ConfigurationError(f"initial network is not regular: {err}") from err
-    _require_nc(bundle, ConfigurationError)
-    failing = [r for r in wellposed.check_compat_order0(state, params, bundle)
-               if not r.passed]
-    if failing:
-        lines = ", ".join(str(r) for r in failing)
-        if preflight == "strict":
-            raise ConfigurationError(
-                f"initial network violates the boundary conditions: {lines}"
-            )
-        warnings.warn(f"incompatible initial network: {lines}")
-    initial_margin = wellposed.parabolicity_margin(bundle.speed)
-    num_steps = config.num_steps
-    # the frame times of np.linspace(start, stop, num_steps + 1), taken
-    # one at a time with its arithmetic; the last lands on stop exactly
-    start, stop = state.time, state.time + config.t_end
-    increment = (stop - start) / num_steps
-    trajectory = [state]
     try:
-        for step in range(num_steps):
-            time = float(stop if step == num_steps - 1
-                         else (step + 1) * increment + start)
-            state = picard_step(state, params, config, bundle=bundle, time=time)
-            # the accepted state's one bundle: the guard reads its speeds
-            # and junction tangents, the observers get it from
-            # finite_differences, and the next step starts from it
-            bundle = geometry.finite_differences(state)
-            for field in bundle:
-                field.flags.writeable = False
-            geometry._shared = (state.nodes, bundle)
-            regularity_guard(bundle, initial_margin)
-            if (step + 1) % config.store_every == 0 or step == num_steps - 1:
-                trajectory.append(state)
-            for obs in observers:
-                obs(state)
-    except BreakdownError as err:
-        err.time = time  # the step code raises without a time
-        err.trajectory = trajectory
-        raise
+        _require_nc(bundle, ConfigurationError)
+        failing = [r for r in wellposed.check_compat_order0(state, params)
+                   if not r.passed]
+        if failing:
+            lines = ", ".join(str(r) for r in failing)
+            if preflight == "strict":
+                raise ConfigurationError(
+                    f"initial network violates the boundary conditions: {lines}"
+                )
+            warnings.warn(f"incompatible initial network: {lines}")
+        initial_margin = wellposed.parabolicity_margin(bundle.speed)
+        num_steps = config.num_steps
+        # the frame times of np.linspace(start, stop, num_steps + 1), taken
+        # one at a time with its arithmetic; the last lands on stop exactly
+        start, stop = state.time, state.time + config.t_end
+        increment = (stop - start) / num_steps
+        trajectory = [state]
+        try:
+            for step in range(num_steps):
+                time = float(stop if step == num_steps - 1
+                             else (step + 1) * increment + start)
+                state = picard_step(state, params, config, time=time)
+                # the accepted state's one bundle, for the guard and, from
+                # finite_differences, the observers and the next step;
+                # rebinding frees the previous one
+                bundle = geometry._share(state)
+                regularity_guard(bundle, initial_margin)
+                if (step + 1) % config.store_every == 0 or step == num_steps - 1:
+                    trajectory.append(state)
+                for obs in observers:
+                    obs(state)
+        except BreakdownError as err:
+            err.time = time  # the step code raises without a time
+            err.trajectory = trajectory
+            raise
     finally:
         geometry._shared = None  # no bundle outlives the run
     return trajectory

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import junction
+from . import geometry, junction
 
 DEFAULT_TOL = 1e-8
 SPECTRAL_PARAMETERS = (1.0, 1.0j, 1.0 + 1.0j)  # p at which check and demo 02 test the junction
@@ -37,15 +37,16 @@ def _norms(vectors):
     return np.sqrt(np.vecdot(vectors, vectors))
 
 
-def order0_residuals(network, params, bundle):
+def order0_residuals(network, params):
     """Order-zero boundary residuals of a network, as arrays over its curves.
 
     endpoint (q,) pin errors at the outer ends, second_derivative (q, 2)
     at ends 0 and 1, concurrency (q-1,) of curves 1.. with curve 0, and
     third_order_sum the norm of the third-order junction sum (0.0 for one
-    curve).  bundle is the stacked derivative bundle of network.
+    curve).
     """
     params.require_fit(network)
+    bundle = geometry.finite_differences(network)
     nodes = network.nodes
     third = 0.0
     if network.q >= 2:
@@ -58,16 +59,16 @@ def order0_residuals(network, params, bundle):
     }
 
 
-def check_compat_order0(network, params, bundle):
+def check_compat_order0(network, params):
     """Records of the order-zero compatibility conditions, in the order
     elastic-networks check prints them.
 
     Those of order0_residuals, f''''/|f'|^4 at the outer ends (both ends
-    of a single curve) and its pairwise match at the junction.  bundle is
-    the stacked derivative bundle of network.
+    of a single curve) and its pairwise match at the junction.
     """
     q, h = network.q, 1.0 / network.N
-    res = order0_residuals(network, params, bundle)
+    res = order0_residuals(network, params)
+    bundle = geometry.finite_differences(network)
     pins, second = res["endpoint"].tolist(), res["second_derivative"].tolist()
     scale2 = 1.0 + junction.powers(np.max(bundle.speed, axis=1), 2)
     tol2 = (DEFAULT_TOL * scale2).tolist()

@@ -1,6 +1,8 @@
 """Implicit stepper: validation, equilibria, energy decay and failure modes."""
 
+import gc
 import re
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -293,22 +295,71 @@ def test_picard_floor_accepts_an_update_that_shrank_by_less_than_half(monkeypatc
     assert np.array_equal(new.nodes, iterates[-1])
 
 
+def _counting_builds(monkeypatch):
+    """Record the nodes of every bundle geometry.finite_differences builds,
+    as bytes; a call that returns the shared bundle builds none."""
+    product = geometry.csr_product
+    builds = []
+
+    def building(matrix, x):
+        builds.append(x.tobytes())
+        return product(matrix, x)
+
+    monkeypatch.setattr(geometry, "csr_product", building)
+    return builds
+
+
 def test_evolve_differentiates_each_accepted_state_once(monkeypatch):
     state, params = fixtures.triod_bent(N=32)
     config = SolverConfig(dt=1e-5, t_end=1e-4, store_every=1)
-    differentiate = geometry.finite_differences
-    seen = []
-
-    def counting(network):
-        seen.append(network.nodes.tobytes())
-        return differentiate(network)
-
-    monkeypatch.setattr(geometry, "finite_differences", counting)
+    builds = _counting_builds(monkeypatch)
     trajectory = solver.evolve(state, params, config)
     assert len(trajectory) == 11
-    assert len(set(seen)) == len(seen)  # no node array twice
-    for frame in trajectory:
-        assert seen.count(frame.nodes.tobytes()) == 1
+    assert len(set(builds)) == len(builds)  # no node array twice
+    for frame in trajectory:  # the initial state among them
+        assert builds.count(frame.nodes.tobytes()) == 1
+
+
+def test_picard_step_builds_its_start_bundle_once(monkeypatch):
+    # outside evolve nothing is shared: the step differentiates its start
+    # state once for the frozen coefficients and the first iterate
+    state, params = fixtures.triod_bent(N=32)
+    builds = _counting_builds(monkeypatch)
+    solver.picard_step(state, params, SolverConfig(dt=1e-5))
+    assert builds.count(state.nodes.tobytes()) == 1
+    assert len(builds) > 1  # the later iterates are differentiated
+
+
+def test_initial_bundle_is_freed_after_the_first_step(monkeypatch):
+    # evolve shares the initial state's bundle with the preflight and the
+    # first step only; a bundle kept past it would add to peak memory
+    state, params = fixtures.triod_bent(N=32)
+    differentiate = geometry.finite_differences
+    speeds = []  # weak references to the speeds of the bundles returned
+
+    def recording(network):
+        bundle = differentiate(network)
+        speeds.append(weakref.ref(bundle.speed))
+        return bundle
+
+    monkeypatch.setattr(geometry, "finite_differences", recording)
+    freed = []
+
+    def observer(frame):
+        gc.collect()
+        freed.append(speeds[0]() is None)
+
+    solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=3e-5),
+                  observers=(observer,))
+    assert freed == [True] * 3
+    assert geometry._shared is None  # no bundle outlives the run
+    # nor a run the preflight rejects after sharing the initial bundle
+    for network in (fixtures.collinear_bad, fixtures.triod_equilibrium):
+        state, params = network(N=32)
+        params = FlowParams(params.endpoints + 1e-3, params.lam)
+        with pytest.raises(ConfigurationError):
+            solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=2e-5))
+        assert geometry._shared is None
 
 
 def test_preflight_rejects_incompatible_data_and_warn_proceeds():
@@ -695,17 +746,20 @@ def test_nan_in_the_linear_solve_is_a_step_error():
 
 
 def _failing_on_call(monkeypatch, call):
-    """Make the call-th finite_differences raise as on a NaN node; returns
-    the list of the times of the states differentiated so far."""
+    """Make the call-th bundle build raise as on a NaN node; returns the
+    list of the times of the states built so far.  A finite_differences
+    call that returns the shared bundle builds none, so it is not counted."""
     differentiate = geometry.finite_differences
     times = []
 
     def failing(network):
-        times.append(network.time)
-        if len(times) == call:
-            nodes = network.nodes.copy()
-            nodes[0, 3, 0] = np.nan  # a NetworkState would refuse it
-            network = SimpleNamespace(nodes=nodes, time=network.time)
+        shared = geometry._shared
+        if shared is None or network.nodes is not shared[0]:
+            times.append(network.time)
+            if len(times) == call:
+                nodes = network.nodes.copy()
+                nodes[0, 3, 0] = np.nan  # a NetworkState would refuse it
+                network = SimpleNamespace(nodes=nodes, time=network.time)
         return differentiate(network)
 
     monkeypatch.setattr(geometry, "finite_differences", failing)
@@ -811,14 +865,7 @@ def test_observers_differentiate_the_accepted_state_for_free(monkeypatch):
     # finite_differences: a record_state observer builds no bundle, and
     # its records equal ones recomputed from fresh bundles after the run
     state, params = fixtures.triod_bent(N=32)
-    product = geometry.csr_product
-    builds = []  # the nodes of every bundle built, as bytes
-
-    def building(matrix, x):
-        builds.append(x.tobytes())
-        return product(matrix, x)
-
-    monkeypatch.setattr(geometry, "csr_product", building)
+    builds = _counting_builds(monkeypatch)
     accepted, records, observer_builds = [], [], []
 
     def observer(frame):
@@ -836,31 +883,9 @@ def test_observers_differentiate_the_accepted_state_for_free(monkeypatch):
                   observers=(observer,))
     assert geometry._shared is None  # no bundle outlives the run
     assert observer_builds == [0] * 5
-    # one build of each accepted state: evolve's
-    assert [builds.count(frame.nodes.tobytes()) for frame in accepted] == [1] * 5
+    # one build of each distinct state, the initial one included: evolve's
+    assert len(set(builds)) == len(builds)
+    assert [builds.count(frame.nodes.tobytes())
+            for frame in [state] + accepted] == [1] * 6
     assert records == [diagnostics.record_state(frame, params) for frame in accepted]
 
-
-def test_handed_in_bundle_is_not_rebuilt(monkeypatch):
-    state, params = fixtures.triod_bent(N=32)
-    config = SolverConfig(dt=1e-5)
-    bundle = geometry.finite_differences(state)
-    differentiate = geometry.finite_differences
-    seen = []
-
-    def counting(network):
-        seen.append(network.nodes)
-        return differentiate(network)
-
-    monkeypatch.setattr(geometry, "finite_differences", counting)
-
-    def start_state_builds():
-        return sum(np.array_equal(nodes, state.nodes) for nodes in seen)
-
-    handed = solver.picard_step(state, params, config, bundle=bundle)
-    assert seen  # the later iterates are differentiated
-    assert start_state_builds() == 0
-    seen.clear()
-    rebuilt = solver.picard_step(state, params, config)
-    assert start_state_builds() == 1
-    assert np.array_equal(handed.nodes, rebuilt.nodes)

@@ -71,10 +71,12 @@ def test_certificate_per_curve_resampling_equals_the_network_call():
 
 
 def _package_uses(path):
-    """(line, name, object, keywords) for each name path imports from
-    elastic_networks, each attribute it reads from an imported package
-    module and each call of either.  object is None where the package no
-    longer has the name; keywords are a call's keyword names, else ()."""
+    """(line, name, object, keywords, positional) for each name path
+    imports from elastic_networks, each attribute it reads from an
+    imported package module and each call of either.  object is None
+    where the package no longer has the name; keywords are a call's
+    keyword names, else (); positional is a call's count of positional
+    arguments, None where it is no call or * or ** hide arguments."""
     tree = ast.parse(path.read_text())
     names = {}
     for node in ast.walk(tree):
@@ -87,7 +89,7 @@ def _package_uses(path):
                 except ModuleNotFoundError:  # not a submodule
                     value = getattr(module, alias.name, None)
                 names[alias.asname or alias.name] = value
-                yield node.lineno, f"{node.module}.{alias.name}", value, ()
+                yield node.lineno, f"{node.module}.{alias.name}", value, (), None
 
     def resolve(node):
         if isinstance(node, ast.Name) and node.id in names:
@@ -103,7 +105,10 @@ def _package_uses(path):
         found = resolve(node.func if is_call else node)
         if found:
             keywords = [k.arg for k in node.keywords if k.arg] if is_call else ()
-            yield node.lineno, *found, keywords
+            hidden = not is_call or (
+                any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords))
+            yield node.lineno, *found, keywords, None if hidden else len(node.args)
 
 
 def _accepts(function, keyword):
@@ -118,7 +123,7 @@ def _accepts(function, keyword):
 def test_every_package_name_a_demo_uses_exists():
     # a demo breaks only when someone runs it, so it is read instead
     missing = [f"{path.name}:{line}: {name}" for path in DEMOS
-               for line, name, value, _ in _package_uses(path) if value is None]
+               for line, name, value, *_ in _package_uses(path) if value is None]
     assert DEMOS
     assert missing == []
 
@@ -128,11 +133,33 @@ def test_every_keyword_passed_to_a_package_function_is_accepted():
     calls = [(path.name, *use) for path in [WORKLOADS] + DEMOS
              for use in _package_uses(path) if use[3]]
     rejected = [f"{name}:{line}: {callee}({keyword}=...)"
-                for name, line, callee, function, keywords in calls
+                for name, line, callee, function, keywords, _ in calls
                 if callable(function)
                 for keyword in keywords if not _accepts(function, keyword)]
     assert calls
     assert rejected == []
+
+
+def _binds(function, positional, keywords):
+    try:
+        inspect.signature(function).bind(*[None] * positional, **dict.fromkeys(keywords))
+    except TypeError:
+        return False
+    return True
+
+
+def test_every_package_call_binds_to_its_signature():
+    # too many or too few positional arguments are a TypeError only once
+    # the call runs, as a lost keyword is; calls whose * or ** hide
+    # arguments are left to the keyword check
+    calls = [(path.name, *use) for path in [WORKLOADS] + DEMOS
+             for use in _package_uses(path) if use[4] is not None]
+    unbound = [f"{name}:{line}: {callee} with {positional} positional and "
+               f"keywords {keywords}"
+               for name, line, callee, function, keywords, positional in calls
+               if callable(function) and not _binds(function, positional, keywords)]
+    assert calls
+    assert unbound == []
 
 
 SRC = ROOT / "src" / "elastic_networks"

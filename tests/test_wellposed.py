@@ -5,14 +5,13 @@ import cmath
 import numpy as np
 import pytest
 
-from elastic_networks import fixtures, geometry, junction, wellposed
+from elastic_networks import fixtures, junction, wellposed
 from elastic_networks.geometry import CurveSamples
 from elastic_networks.solver import NetworkState
 
 
 def _records(state, params):
-    return wellposed.check_compat_order0(state, params,
-                                         geometry.finite_differences(state))
+    return wellposed.check_compat_order0(state, params)
 
 
 def _failing(state, params):
@@ -158,8 +157,7 @@ def test_order0_records_read_the_residual_table():
     state, params = fixtures.triod_bent(N=48)
     nodes = state.nodes + 1e-4 * np.random.default_rng(7).normal(size=state.nodes.shape)
     state = NetworkState(nodes)
-    table = wellposed.order0_residuals(state, params,
-                                       geometry.finite_differences(state))
+    table = wellposed.order0_residuals(state, params)
     by_key = {(r.condition, r.where): r.residual for r in _records(state, params)}
     for i in range(3):
         pin = by_key["endpoint-pin", f"curve {i}, end 1"]
@@ -175,8 +173,7 @@ def test_order0_records_read_the_residual_table():
     assert by_key["third-order-sum", "junction"] == table["third_order_sum"]
     assert table["third_order_sum"] > 0.0
     single, single_params = fixtures.single_clamped(N=48)
-    table = wellposed.order0_residuals(single, single_params,
-                                       geometry.finite_differences(single))
+    table = wellposed.order0_residuals(single, single_params)
     assert table["concurrency"].shape == (0,)
     assert table["third_order_sum"] == 0.0
 
