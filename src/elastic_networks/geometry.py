@@ -9,7 +9,8 @@ same formal order near the two ends.  A network stores its q curves as
 one read-only (q, N+1, n) array (NetworkState.nodes); its bundle comes
 from one block-diagonal operator, and every formula takes a curve's or
 a network's bundle.  finite_differences is the one regularity check, so
-the formulas trust the speeds of the bundles it makes.
+the formulas trust the speeds of the bundles it makes; it keeps the
+bundle of the network state it differentiated last.
 """
 
 import math
@@ -209,22 +210,11 @@ class NetworkState:
 # d1..d4 are slices of one contiguous array.
 DerivativeBundle = namedtuple("DerivativeBundle", "d1 d2 d3 d4 speed")
 
-# (nodes, bundle): the read-only bundle of one read-only node array,
-# which finite_differences returns for that very array instead of
-# building it again.  Only _share fills it, for solver.evolve: with the
-# initial state and then each accepted one, so that the preflight, the
-# steps and the observers differentiate it for free; None outside evolve.
-_shared = None
-
-
-def _share(state):
-    """The bundle of state, made read-only and put in _shared."""
-    global _shared
-    bundle = finite_differences(state)
-    for field in bundle:
-        field.flags.writeable = False
-    _shared = (state.nodes, bundle)
-    return bundle
+# (nodes, bundle) of the NetworkState finite_differences differentiated
+# last.  A state's node array is owned and read-only, so its bundle stays
+# valid; a curve's or a Picard iterate's nodes may change in place, so
+# theirs is never kept.
+_last = None
 
 
 def finite_differences(curves):
@@ -235,14 +225,15 @@ def finite_differences(curves):
     operator differentiates the contiguous node array of all curves at
     once into one contiguous (..., 4, N+1, n) array, and the bundle's
     fields are slices of it that keep the leading shape.  Per-curve and
-    stacked results agree bit for bit.  While solver.evolve runs, the
-    node array of the state it shared last (the initial one, then each
-    accepted one) gets that state's bundle, whose arrays are read-only.
+    stacked results agree bit for bit.  A NetworkState's bundle is kept,
+    its fields read-only, and returned again for the same node array
+    until another state is differentiated.
     """
+    global _last
     nodes = curves.nodes
-    shared = _shared  # one read: evolve may replace it in another thread
-    if shared is not None and nodes is shared[0]:
-        return shared[1]
+    last = _last  # one read: another thread may replace it
+    if last is not None and nodes is last[0]:
+        return last[1]
     *lead, num, n = nodes.shape
     count = math.prod(lead)
     raw = csr_product(_block_operator(count, num), nodes.reshape(count * num, n))
@@ -256,7 +247,12 @@ def finite_differences(curves):
         speed += squares[..., j]
     speed = np.sqrt(speed, out=speed)
     _require_regular(speed)
-    return DerivativeBundle(d1=d1, d2=d2, d3=d3, d4=d4, speed=speed)
+    bundle = DerivativeBundle(d1=d1, d2=d2, d3=d3, d4=d4, speed=speed)
+    if isinstance(curves, NetworkState):
+        for field in bundle:
+            field.flags.writeable = False
+        _last = (nodes, bundle)
+    return bundle
 
 
 def _require_regular(speed):

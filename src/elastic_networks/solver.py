@@ -273,10 +273,11 @@ def picard_step(state, params, config, *, time=None):
     """Advance one time step, iterating the linearization to a fixed point.
 
     The coefficients are frozen at state, the start of the step; state's
-    bundle (during evolve, the shared one) gives them and the first
-    iterate.  time is the time of the new state, state.time + dt by
-    default.  The Picard iterates are plain (q, N+1, n) arrays; the
-    converged one is returned as a NetworkState at that time.
+    bundle (the kept one, if state was differentiated last) gives them
+    and the first iterate.  time is the time of the new state,
+    state.time + dt by default.  The Picard iterates are plain
+    (q, N+1, n) arrays; the converged one is returned as a NetworkState
+    at that time.
     """
     bundle = geometry.finite_differences(state)
     if time is None:
@@ -363,53 +364,50 @@ def evolve(state, params, config, observers=(), preflight="strict"):
     RegularityError, or NonCollinearError once a state loses NC) carrying
     the frames so far in .trajectory and the failing step's time in .time.
     Each observer is called with every accepted state.  The initial
-    state and each accepted one are differentiated once: until the next,
-    geometry.finite_differences of that state returns its read-only
-    bundle to the preflight, the step and the observers.
+    state and each accepted one are differentiated once: geometry keeps
+    the bundle of the state differentiated last, so the preflight, the
+    step and the observers share it.
     """
     if preflight not in ("strict", "warn"):
         raise ConfigurationError("preflight must be strict or warn")
     params.require_fit(state)
     try:
-        bundle = geometry._share(state)
+        bundle = geometry.finite_differences(state)
     except RegularityError as err:  # invalid input, not a breakdown
         raise ConfigurationError(f"initial network is not regular: {err}") from err
+    _require_nc(bundle, ConfigurationError)
+    failing = [r for r in wellposed.check_compat_order0(state, params)
+               if not r.passed]
+    if failing:
+        lines = ", ".join(str(r) for r in failing)
+        if preflight == "strict":
+            raise ConfigurationError(
+                f"initial network violates the boundary conditions: {lines}"
+            )
+        warnings.warn(f"incompatible initial network: {lines}")
+    initial_margin = wellposed.parabolicity_margin(bundle.speed)
+    num_steps = config.num_steps
+    # the frame times of np.linspace(start, stop, num_steps + 1), taken
+    # one at a time with its arithmetic; the last lands on stop exactly
+    start, stop = state.time, state.time + config.t_end
+    increment = (stop - start) / num_steps
+    trajectory = [state]
     try:
-        _require_nc(bundle, ConfigurationError)
-        failing = [r for r in wellposed.check_compat_order0(state, params)
-                   if not r.passed]
-        if failing:
-            lines = ", ".join(str(r) for r in failing)
-            if preflight == "strict":
-                raise ConfigurationError(
-                    f"initial network violates the boundary conditions: {lines}"
-                )
-            warnings.warn(f"incompatible initial network: {lines}")
-        initial_margin = wellposed.parabolicity_margin(bundle.speed)
-        num_steps = config.num_steps
-        # the frame times of np.linspace(start, stop, num_steps + 1), taken
-        # one at a time with its arithmetic; the last lands on stop exactly
-        start, stop = state.time, state.time + config.t_end
-        increment = (stop - start) / num_steps
-        trajectory = [state]
-        try:
-            for step in range(num_steps):
-                time = float(stop if step == num_steps - 1
-                             else (step + 1) * increment + start)
-                state = picard_step(state, params, config, time=time)
-                # the accepted state's one bundle, for the guard and, from
-                # finite_differences, the observers and the next step;
-                # rebinding frees the previous one
-                bundle = geometry._share(state)
-                regularity_guard(bundle, initial_margin)
-                if (step + 1) % config.store_every == 0 or step == num_steps - 1:
-                    trajectory.append(state)
-                for obs in observers:
-                    obs(state)
-        except BreakdownError as err:
-            err.time = time  # the step code raises without a time
-            err.trajectory = trajectory
-            raise
-    finally:
-        geometry._shared = None  # no bundle outlives the run
+        for step in range(num_steps):
+            time = float(stop if step == num_steps - 1
+                         else (step + 1) * increment + start)
+            state = picard_step(state, params, config, time=time)
+            # the accepted state's one bundle, for the guard and, kept by
+            # finite_differences, the observers and the next step; it
+            # replaces the previous one there and here, which frees that
+            bundle = geometry.finite_differences(state)
+            regularity_guard(bundle, initial_margin)
+            if (step + 1) % config.store_every == 0 or step == num_steps - 1:
+                trajectory.append(state)
+            for obs in observers:
+                obs(state)
+    except BreakdownError as err:
+        err.time = time  # the step code raises without a time
+        err.trajectory = trajectory
+        raise
     return trajectory

@@ -8,7 +8,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from elastic_networks import cli, fixtures, geometry, io, repar, studies, wellposed
+from elastic_networks import (
+    cli,
+    diagnostics,
+    fixtures,
+    geometry,
+    io,
+    repar,
+    studies,
+    wellposed,
+)
 from elastic_networks.errors import ConfigurationError, DiffeoBreakdownError
 from elastic_networks.geometry import NetworkState
 from elastic_networks.solver import SolverConfig
@@ -205,7 +214,9 @@ def _trajectory_json(**fields):
 @pytest.mark.parametrize("data", [
     [1], _trajectory_json(frames=3), _trajectory_json(frames=[3]),
     _trajectory_json(frames=[{"time": 0.0, "curves": 4}]),
-], ids=["top-level-list", "frames-int", "frame-int", "frame-curves-int"])
+    _trajectory_json(format="something-else"),
+], ids=["top-level-list", "frames-int", "frame-int", "frame-curves-int",
+        "wrong-format"])
 def test_trajectory_of_the_wrong_json_shape_is_rejected(data):
     with pytest.raises(ConfigurationError):
         io.trajectory_from_dict(data)
@@ -399,6 +410,26 @@ def test_convergence_output_in_a_missing_directory_is_io_error(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("rates, code", [((1.0, 1.1), cli.EXIT_OK),
+                                         ((0.8, 1.1), cli.EXIT_INVALID)],
+                         ids=["order-met", "order-too-low"])
+def test_temporal_convergence_prints_and_writes_the_study(tmp_path, capsys,
+                                                          monkeypatch, rates, code):
+    # the order is the least rate, here once above and once below
+    # TEMPORAL_MIN_ORDER (0.9)
+    result = studies.StudyResult(levels=(4e-6, 2e-6, 1e-6),
+                                 errors=(4e-3, 2e-3, 1e-3), rates=rates)
+    monkeypatch.setattr(studies, "temporal_convergence", lambda: result)
+    out = tmp_path / "study.json"
+    assert cli.main(["convergence", "--mode", "temporal", "--out", str(out)]) == code
+    assert capsys.readouterr().out.splitlines() == [
+        "level 4e-06: error 4.000000e-03", "level 2e-06: error 2.000000e-03",
+        "level 1e-06: error 1.000000e-03", f"observed order: {rates[0]:.3f}"]
+    assert json.loads(out.read_text()) == {"levels": [4e-6, 2e-6, 1e-6],
+                                           "errors": [4e-3, 2e-3, 1e-3],
+                                           "rates": list(rates)}
+
+
 def test_network_path_that_is_a_directory_is_io_error(tmp_path, capsys):
     code = cli.main(["check", "--network", str(tmp_path)])
     assert code == cli.EXIT_IO
@@ -423,6 +454,20 @@ def test_simulate_writes_outputs(tmp_path):
     assert os.path.exists(os.path.join(out, "frame_00000.svg"))
     frames, _ = io.load_trajectory(os.path.join(out, "trajectory.json"))
     assert len(frames) == 6  # initial frame plus five steps
+
+
+def test_simulate_svg_stride_draws_every_other_frame(tmp_path):
+    net = _write_network(tmp_path, "net.json", fixtures.triod_bent(N=32))
+    config = _write_config(tmp_path, dt=1e-5, t_end=5e-5)
+    out = tmp_path / "run"
+    code = cli.main(["simulate", "--network", net, "--config", config,
+                     "--out", str(out), "--svg", "--stride", "2"])
+    assert code == cli.EXIT_OK
+    frames, _ = io.load_trajectory(str(out / "trajectory.json"))
+    assert sorted(path.name for path in out.glob("*.svg")) == [
+        "frame_00000.svg", "frame_00001.svg", "frame_00002.svg"]
+    for k, frame in enumerate(frames[::2]):  # frames 0, 2 and 4 of 6
+        assert (out / f"frame_{k:05d}.svg").read_text() == io.state_to_svg(frame)
 
 
 @pytest.mark.parametrize("stride", ["0", "-1"])
@@ -499,13 +544,13 @@ def test_simulate_breakdown_exit_code(tmp_path, monkeypatch):
 
 def test_simulate_regularity_breakdown_exit_code(tmp_path, capsys, monkeypatch):
     # a NaN node on the 10th bundle build, mid-run; a call that returns
-    # the shared bundle builds none
+    # the kept bundle builds none
     differentiate = geometry.finite_differences
     builds = []
 
     def failing(network):
-        shared = geometry._shared
-        if shared is None or network.nodes is not shared[0]:
+        last = geometry._last
+        if last is None or network.nodes is not last[0]:
             builds.append(network)
             if len(builds) == 10:
                 nodes = network.nodes.copy()
@@ -525,6 +570,31 @@ def test_simulate_regularity_breakdown_exit_code(tmp_path, capsys, monkeypatch):
     assert ("breakdown: degenerate speed nan at node 3 of curve 2 in the step "
             "to t=2.000000e-05\n") in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("job", ["record_state", "check_compat_order0", "check"])
+def test_a_job_outside_a_run_builds_its_state_once(tmp_path, capsys, monkeypatch, job):
+    # finite_differences keeps the bundle of the state it differentiated
+    # last, so the helpers one job calls on a state share one build
+    state, params = fixtures.triod_bent(N=32)
+    state = NetworkState(state.nodes)  # a node array not yet differentiated
+    net = _write_network(tmp_path, "net.json", (state, params))
+    product = geometry.csr_product
+    builds = []
+
+    def building(matrix, x):
+        builds.append(x.tobytes())
+        return product(matrix, x)
+
+    monkeypatch.setattr(geometry, "csr_product", building)
+    if job == "record_state":
+        diagnostics.record_state(state, params)
+    elif job == "check_compat_order0":
+        wellposed.check_compat_order0(state, params)
+    else:
+        assert cli.main(["check", "--network", net]) == cli.EXIT_OK
+        capsys.readouterr()
+    assert builds == [state.nodes.tobytes()]
 
 
 def test_check_prints_one_rendering_per_record(tmp_path, capsys):

@@ -120,6 +120,23 @@ def test_curve_samples_validation():
         geometry.CurveSamples(np.zeros((5, 2)))  # too few intervals
 
 
+def test_only_a_network_state_bundle_is_kept():
+    # a state's node array is its own and read-only, so its bundle stays
+    # valid; a curve's or an iterate's nodes may change in place
+    state, _ = fixtures.triod_bent(N=32)
+    nodes = state.nodes.copy()
+    for curves in (geometry.CurveSamples(nodes[0]), SimpleNamespace(nodes=nodes)):
+        before = geometry.finite_differences(curves).d1.copy()
+        nodes[:, 5] += 0.01
+        assert not np.array_equal(geometry.finite_differences(curves).d1, before)
+    bundle = geometry.finite_differences(state)
+    assert geometry.finite_differences(state) is bundle
+    assert not any(field.flags.writeable for field in bundle)
+    other = geometry.NetworkState(state.nodes)  # equal nodes, another array
+    assert geometry.finite_differences(other) is not bundle
+    assert geometry.finite_differences(state) is not bundle  # replaced
+
+
 def test_degenerate_speed_raises():
     nodes = np.zeros((17, 2))  # a single point traced 17 times
     with pytest.raises(RegularityError):

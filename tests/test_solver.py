@@ -31,6 +31,8 @@ def test_network_state_validation():
     ragged = [[[0.0, 0.0]] * 9, [[0.0, 0.0]] * 10]
     with pytest.raises(ConfigurationError, match="share the node count"):
         NetworkState(ragged)
+    with pytest.raises(ConfigurationError, match=r"a \(q, N\+1, n\) array"):
+        NetworkState([[0.0, 0.0]] * 9)  # one curve's nodes, not a network
     for not_curves in (5, None, [[[{"x": 1.0}, 0.0]] * 9]):
         with pytest.raises(ConfigurationError, match="sequence of curves"):
             NetworkState(not_curves)
@@ -297,7 +299,7 @@ def test_picard_floor_accepts_an_update_that_shrank_by_less_than_half(monkeypatc
 
 def _counting_builds(monkeypatch):
     """Record the nodes of every bundle geometry.finite_differences builds,
-    as bytes; a call that returns the shared bundle builds none."""
+    as bytes; a call that returns the kept bundle builds none."""
     product = geometry.csr_product
     builds = []
 
@@ -307,6 +309,22 @@ def _counting_builds(monkeypatch):
 
     monkeypatch.setattr(geometry, "csr_product", building)
     return builds
+
+
+def _differentiated_states(monkeypatch):
+    """Record each NetworkState that geometry.finite_differences returns
+    a bundle for, in call order."""
+    differentiate = geometry.finite_differences
+    states = []
+
+    def recording(network):
+        bundle = differentiate(network)
+        if isinstance(network, NetworkState):
+            states.append(network)
+        return bundle
+
+    monkeypatch.setattr(geometry, "finite_differences", recording)
+    return states
 
 
 def test_evolve_differentiates_each_accepted_state_once(monkeypatch):
@@ -321,8 +339,8 @@ def test_evolve_differentiates_each_accepted_state_once(monkeypatch):
 
 
 def test_picard_step_builds_its_start_bundle_once(monkeypatch):
-    # outside evolve nothing is shared: the step differentiates its start
-    # state once for the frozen coefficients and the first iterate
+    # outside evolve too the step differentiates its start state once,
+    # for the frozen coefficients and the first iterate
     state, params = fixtures.triod_bent(N=32)
     builds = _counting_builds(monkeypatch)
     solver.picard_step(state, params, SolverConfig(dt=1e-5))
@@ -331,8 +349,8 @@ def test_picard_step_builds_its_start_bundle_once(monkeypatch):
 
 
 def test_initial_bundle_is_freed_after_the_first_step(monkeypatch):
-    # evolve shares the initial state's bundle with the preflight and the
-    # first step only; a bundle kept past it would add to peak memory
+    # the initial state's bundle serves the preflight and the first step
+    # only; a bundle kept past it would add to peak memory
     state, params = fixtures.triod_bent(N=32)
     differentiate = geometry.finite_differences
     speeds = []  # weak references to the speeds of the bundles returned
@@ -349,17 +367,18 @@ def test_initial_bundle_is_freed_after_the_first_step(monkeypatch):
         gc.collect()
         freed.append(speeds[0]() is None)
 
-    solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=3e-5),
-                  observers=(observer,))
+    trajectory = solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=3e-5),
+                               observers=(observer,))
     assert freed == [True] * 3
-    assert geometry._shared is None  # no bundle outlives the run
-    # nor a run the preflight rejects after sharing the initial bundle
+    # only the bundle of the last state differentiated is kept
+    assert geometry._last[0] is trajectory[-1].nodes
+    # a run the preflight rejects keeps the initial bundle alone
     for network in (fixtures.collinear_bad, fixtures.triod_equilibrium):
         state, params = network(N=32)
         params = FlowParams(params.endpoints + 1e-3, params.lam)
         with pytest.raises(ConfigurationError):
             solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=2e-5))
-        assert geometry._shared is None
+        assert geometry._last[0] is state.nodes
 
 
 def test_preflight_rejects_incompatible_data_and_warn_proceeds():
@@ -407,10 +426,13 @@ def test_nc_lost_mid_run_carries_time_and_partial_trajectory(monkeypatch):
         return 1 if len(spans) == 3 else span_dimension(tangents)
 
     monkeypatch.setattr(junction, "span_dimension", collinear_on_third)
+    states = _differentiated_states(monkeypatch)
     with pytest.raises(NonCollinearError, match=r"\(NC\) violated") as exc_info:
         solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=5e-5))
-    assert geometry._shared is None  # emptied: the failing state filled it
     err = exc_info.value
+    # the failing state was differentiated last: its bundle alone is kept
+    assert states[-1].time == err.time
+    assert geometry._last[0] is states[-1].nodes
     assert len(spans) == 3
     assert err.time == pytest.approx(2e-5, rel=1e-12)
     assert err.trajectory[0] is state
@@ -748,13 +770,13 @@ def test_nan_in_the_linear_solve_is_a_step_error():
 def _failing_on_call(monkeypatch, call):
     """Make the call-th bundle build raise as on a NaN node; returns the
     list of the times of the states built so far.  A finite_differences
-    call that returns the shared bundle builds none, so it is not counted."""
+    call that returns the kept bundle builds none, so it is not counted."""
     differentiate = geometry.finite_differences
     times = []
 
     def failing(network):
-        shared = geometry._shared
-        if shared is None or network.nodes is not shared[0]:
+        last = geometry._last
+        if last is None or network.nodes is not last[0]:
             times.append(network.time)
             if len(times) == call:
                 nodes = network.nodes.copy()
@@ -819,15 +841,17 @@ def test_every_step_failure_carries_its_time_and_the_frames_before(
     state, params = fixtures.triod_bent(N=32)
     config = SolverConfig(dt=1e-5, t_end=1e-4)
     times = np.linspace(0.0, 1e-4, 11)
+    states = _differentiated_states(monkeypatch)
 
     def break_next_step(frame):
-        assert geometry._shared[0] is frame.nodes  # the frame's bundle is shared
+        assert geometry._last[0] is frame.nodes  # the frame's bundle is kept
         if frame.time == times[1]:
             patch(monkeypatch)
 
     with pytest.raises(error, match=message) as exc_info:
         solver.evolve(state, params, config, observers=(break_next_step,))
-    assert geometry._shared is None  # no bundle outlives the run
+    # only the bundle of the last state differentiated is kept
+    assert geometry._last[0] is states[-1].nodes
     err = exc_info.value
     assert err.time == times[2]
     assert err.trajectory[0] is state
@@ -861,8 +885,8 @@ def test_a_huge_step_count_runs_its_first_step():
 
 
 def test_observers_differentiate_the_accepted_state_for_free(monkeypatch):
-    # evolve shares each accepted state's bundle, read-only, with
-    # finite_differences: a record_state observer builds no bundle, and
+    # finite_differences keeps each accepted state's bundle, read-only,
+    # after evolve built it: a record_state observer builds no bundle, and
     # its records equal ones recomputed from fresh bundles after the run
     state, params = fixtures.triod_bent(N=32)
     builds = _counting_builds(monkeypatch)
@@ -874,14 +898,14 @@ def test_observers_differentiate_the_accepted_state_for_free(monkeypatch):
         observer_builds.append(len(builds) - before)
         accepted.append(frame)
         bundle = geometry.finite_differences(frame)
-        assert bundle is geometry._shared[1]
+        assert bundle is geometry._last[1]
         for field in bundle:
             with pytest.raises(ValueError, match="read-only"):
                 field[...] = 0.0
 
     solver.evolve(state, params, SolverConfig(dt=1e-5, t_end=5e-5),
                   observers=(observer,))
-    assert geometry._shared is None  # no bundle outlives the run
+    assert geometry._last[0] is accepted[-1].nodes  # the last state's alone
     assert observer_builds == [0] * 5
     # one build of each distinct state, the initial one included: evolve's
     assert len(set(builds)) == len(builds)

@@ -339,6 +339,38 @@ def test_src_imports_inside_functions_only_from_the_allow_list():
     assert IMPORTS_IN_FUNCTIONS_KEPT - found == set(), "allow-list entries no longer used"
 
 
+# private names of another package module that src/ may read or write,
+# each with the reason: a private name is its own module's business
+PRIVATE_NAMES_KEPT = {
+    "geometry._is_finite",  # SolverConfig's number check, as NetworkState's
+    "geometry._h_lower",  # the step's lower-order terms with its shared s**4
+}
+
+
+def _private_names_of_other_modules(tree):
+    # "module._name" for each private name of a sibling module that a
+    # module imports (from .module import _name) or reads off it
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if not node.module:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    yield f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            yield f"{modules[node.value.id]}.{node.attr}"
+
+
+def test_src_uses_private_names_of_other_modules_only_from_the_allow_list():
+    found = {name for path in sorted(SRC.glob("*.py"))
+             for name in _private_names_of_other_modules(ast.parse(path.read_text()))}
+    assert found - PRIVATE_NAMES_KEPT == set(), "private names of other modules used"
+    assert PRIVATE_NAMES_KEPT - found == set(), "allow-list entries no longer used"
+
+
 def _python_floor():
     # (major, minor) of pyproject.toml's requires-python = ">=X.Y"; read
     # without tomllib, which the declared floor itself (3.10) lacks
