@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import ConfigurationError, RegularityError
@@ -57,9 +56,8 @@ def boundary_offsets(node, order, num_nodes):
     return np.arange(start, start + pts) - node
 
 
-@lru_cache(maxsize=None)
 def _derivative_matrix(num, order):
-    """Sparse differentiation matrix on num unit-spaced nodes."""
+    """Entries (rows, cols, vals) of the differentiation matrix on num nodes."""
     hw = _CENTERED_HALF_WIDTH[order]
     band = np.arange(-hw, hw + 1)
     interior = np.arange(hw, num - hw)
@@ -73,18 +71,19 @@ def _derivative_matrix(num, order):
     cols += [k + o for k, o in zip(ends, shifted)]
     vals = [np.tile(stencil_weights(band, order), interior.size)]
     vals += [stencil_weights(o, order) for o in shifted]
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(num, num),
-    )
+    return tuple(np.concatenate(part) for part in (rows, cols, vals))
 
 
-@lru_cache(maxsize=None)
-def _block_operator(count, num):
-    """count copies, down the diagonal, of the order 1..4 matrices on num
-    nodes stacked vertically: (count 4 num, count num)."""
-    stacked = sparse.vstack([_derivative_matrix(num, k) for k in range(1, 5)])
-    return sparse.block_diag([stacked] * count, format="csr")
+def compressed(major, minor, shape):
+    """Compressed storage of the entries at (major, minor) of a matrix of
+    shape (major count, minor count): CSR with the rows as major indices,
+    CSC with the columns.  Returns (order, indptr, indices): order sorts
+    the entries by major, then minor index (stably), as SciPy's canonical
+    format does; indptr (int32) holds the offsets of the major indices'
+    runs, and indices (int32) the minor indices."""
+    order = np.argsort(major * shape[1] + minor, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(major, minlength=shape[0]))])
+    return order, indptr.astype(np.int32), minor[order].astype(np.int32)
 
 
 # The arrays of a CSR matrix without the scipy.sparse object around them,
@@ -92,11 +91,26 @@ def _block_operator(count, num):
 CSRArrays = namedtuple("CSRArrays", "data indices indptr shape")
 
 
+@lru_cache(maxsize=None)
+def _block_operator(count, num):
+    """count copies, down the diagonal, of the order 1..4 matrices on num
+    nodes stacked vertically: CSRArrays of shape (count 4 num, count num)."""
+    entries = [_derivative_matrix(num, k) for k in range(1, 5)]
+    # order k's rows sit below those of the orders before it, and each
+    # curve's block 4 num rows and num columns below the one before
+    rows = np.concatenate([r + k * num for k, (r, _, _) in enumerate(entries)])
+    cols, vals = (np.concatenate([e[m] for e in entries]) for m in (1, 2))
+    curve = np.arange(count)[:, None]
+    shape = (4 * num * count, num * count)
+    order, indptr, indices = compressed((rows + 4 * num * curve).ravel(),
+                                        (cols + num * curve).ravel(), shape)
+    return CSRArrays(np.tile(vals, count)[order], indices, indptr, shape)
+
+
 def csr_product(matrix, x):
-    """matrix @ x for a CSR matrix (a scipy.sparse csr_matrix or its
-    CSRArrays) and a float vector or (rows, k) array, bit for bit: the
-    compiled kernel @ calls, on a zeroed buffer as @ does, without @'s
-    checks and dispatch."""
+    """matrix @ x for CSRArrays and a float vector or (rows, k) array, bit
+    for bit: the compiled kernel @ calls on a scipy.sparse matrix of those
+    arrays, on a zeroed buffer as @ does, without @'s checks and dispatch."""
     rows, cols = matrix.shape
     out = np.zeros((rows, *x.shape[1:]))
     if x.ndim == 1:

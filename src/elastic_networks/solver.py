@@ -37,6 +37,7 @@ from .geometry import (
     CSRArrays,
     NetworkState,
     boundary_offsets,
+    compressed,
     csr_product,
     stencil_weights,
 )
@@ -138,13 +139,10 @@ def _solve(matrix, lu, perm_c, rhs):
 # Structure of the step matrix for one (q, N, n).  The entries are
 # listed in a fixed order: interior rows (q, n, N-3, 5), junction rows
 # (n, q, n, 5) when q >= 2, then the constant boundary entries, whose
-# values are kept; order sorts that list into CSR order.  perm_c is the
-# column order SuperLU picks for this pattern (COLAMD and the postorder
-# of the elimination tree depend on the structure alone); csc_* hold the
-# CSC structure of the matrix with its columns in that order, and
-# csc_order sorts the value list into it.
-_StepPattern = namedtuple("_StepPattern", "indptr indices order constants w4 w3 "
-                          "perm_c csc_indptr csc_indices csc_order")
+# values are kept.  csr and csc compress that list (geometry.compressed);
+# csc with the columns in the order perm_c that SuperLU picks for this
+# pattern (COLAMD and its elimination-tree postorder see only structure).
+_StepPattern = namedtuple("_StepPattern", "csr csc constants w4 w3 perm_c")
 
 
 @lru_cache(maxsize=None)
@@ -185,36 +183,22 @@ def _step_pattern(q, N, n):
     entries = [np.broadcast_arrays(*e) for e in variable + fixed]
 
     rows, cols = (np.concatenate([e[k].ravel() for e in entries]) for k in (0, 1))
-    size = q * (N + 1) * n
+    shape = (q * (N + 1) * n,) * 2
     # one factorization with seeded stand-in values gives SuperLU's column
     # order for every matrix of this pattern
     standin = np.random.default_rng(0).standard_normal(rows.size)
-    perm_c = sp.linalg.splu(sp.csc_matrix((standin, (rows, cols)),
-                                          shape=(size, size))).perm_c
-    # intp: perm_c indexes every solve, and an int32 index is cast on each
-    # use; csc_order, used once per step, stays int32 to halve its memory
-    perm_c = perm_c.astype(np.intp)
-    order = np.lexsort((cols, rows))
-    permuted_cols = perm_c[cols]
-    csc_order = np.lexsort((rows, permuted_cols))
+    order, indptr, indices = compressed(cols, rows, shape)
+    # intp: perm_c indexes every solve, and an int32 index is cast on each use
+    perm_c = sp.linalg.splu(sp.csc_matrix((standin[order], indices, indptr),
+                                          shape=shape)).perm_c.astype(np.intp)
     return _StepPattern(
-        indptr=_offsets(rows, size),
-        indices=cols[order].astype(np.int32),
-        order=order,
+        csr=compressed(rows, cols, shape),
+        csc=compressed(perm_c[cols], rows, shape),
         constants=np.concatenate([e[2].ravel() for e in entries[len(variable):]]),
         w4=stencil_weights(range(-2, 3), 4) / h**4,
         w3=stencil_weights(offs3, 3) / h**3,
         perm_c=perm_c,
-        csc_indptr=_offsets(permuted_cols, size),
-        csc_indices=rows[csc_order].astype(np.int32),
-        csc_order=csc_order.astype(np.int32),
     )
-
-
-def _offsets(keys, size):
-    """Compressed-storage offsets (int32) of entries grouped by keys."""
-    return np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=size))]
-                          ).astype(np.int32)
 
 
 def _step_matrix(shape, d_pow4, e_matrices, dt):
@@ -236,10 +220,11 @@ def _step_matrix(shape, d_pow4, e_matrices, dt):
     values.append(pattern.constants)
     values = np.concatenate(values)
     size = q * num * n
-    return (CSRArrays(values[pattern.order], pattern.indices, pattern.indptr,
-                      (size, size)),
-            sp.csc_matrix((values[pattern.csc_order], pattern.csc_indices,
-                           pattern.csc_indptr), shape=(size, size)),
+    order, indptr, indices = pattern.csr
+    csc_order, csc_indptr, csc_indices = pattern.csc
+    return (CSRArrays(values[order], indices, indptr, (size, size)),
+            sp.csc_matrix((values[csc_order], csc_indices, csc_indptr),
+                          shape=(size, size)),
             pattern.perm_c)
 
 

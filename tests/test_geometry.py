@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from elastic_networks import fixtures, geometry
 from elastic_networks.errors import ConfigurationError, RegularityError
@@ -53,8 +54,6 @@ def _loop_derivative_matrix(num, order):
     """The derivative matrix built one entry at a time: interior rows from
     the centered stencil, then the rows near each end from their shifted
     stencils."""
-    from scipy import sparse
-
     hw = geometry._CENTERED_HALF_WIDTH[order]
     rows, cols, vals = [], [], []
     w = geometry.stencil_weights(range(-hw, hw + 1), order)
@@ -72,10 +71,16 @@ def _loop_derivative_matrix(num, order):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(num, num))
 
 
+def _scipy_derivative_matrix(num, order):
+    # SciPy's CSR matrix of the entries geometry._derivative_matrix lists
+    rows, cols, vals = geometry._derivative_matrix(num, order)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(num, num))
+
+
 @pytest.mark.parametrize("num", [9, 10, 129, 2049])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_derivative_matrix_equals_entrywise_loop_oracle(num, order):
-    built = geometry._derivative_matrix(num, order)
+    built = _scipy_derivative_matrix(num, order)
     oracle = _loop_derivative_matrix(num, order)
     for field in ("indptr", "indices", "data"):
         got, want = getattr(built, field), getattr(oracle, field)
@@ -304,7 +309,7 @@ def _assert_bundle_is_per_order_derivatives(curves):
         single = geometry.finite_differences(curve)
         for name in ("d1", "d2", "d3", "d4", "speed"):
             assert np.array_equal(getattr(stacked, name)[i], getattr(single, name))
-        per_order = [geometry._derivative_matrix(num, order) @ curve.nodes
+        per_order = [_scipy_derivative_matrix(num, order) @ curve.nodes
                      / curve.h**order for order in range(1, 5)]
         for order, expected in enumerate(per_order, start=1):
             assert np.array_equal(getattr(single, f"d{order}"), expected)
@@ -326,8 +331,24 @@ def test_stacked_bundle_equals_per_curve_bundles(q, n):
 def test_block_operator_kernel_product_equals_matmul_bit_for_bit(q, n, N):
     # finite_differences calls the compiled kernel behind @ directly
     operator = geometry._block_operator(q, N + 1)
+    matrix = sparse.csr_matrix(operator[:3], shape=operator.shape)
     x = np.random.default_rng(q * n).standard_normal((q * (N + 1), n))
-    assert geometry.csr_product(operator, x).tobytes() == (operator @ x).tobytes()
+    assert geometry.csr_product(operator, x).tobytes() == (matrix @ x).tobytes()
+
+
+@pytest.mark.parametrize("q, N", [(1, 8), (3, 128), (4, 2048)])
+def test_block_operator_equals_scipy_block_diagonal(q, N):
+    # the NumPy-built CSR arrays are the ones SciPy's canonical format
+    # holds for the same block-diagonal stack, dtypes included
+    built = geometry._block_operator(q, N + 1)
+    stacked = sparse.vstack([_scipy_derivative_matrix(N + 1, order)
+                             for order in range(1, 5)])
+    oracle = sparse.block_diag([stacked] * q, format="csr")
+    assert built.shape == oracle.shape
+    for field in ("data", "indices", "indptr"):
+        got, want = getattr(built, field), getattr(oracle, field)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_energy_gradient_of_a_network_is_its_curves_gradients():

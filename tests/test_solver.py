@@ -674,6 +674,25 @@ def test_cached_column_order_factors_like_default_superlu(network):
                           solver._solve(arrays, reference, identity, rhs))
 
 
+@pytest.mark.parametrize("network", STEP_NETWORKS)
+def test_standin_column_order_equals_the_coo_built_standin(network):
+    # the pattern's stand-in matrix is compressed by geometry.compressed;
+    # SciPy's COO constructor on the same entries and values is the oracle
+    state, _ = network()
+    q, num, n = state.nodes.shape
+    pattern = solver._step_pattern(q, num - 1, n)
+    size = q * num * n
+    # the entry list in its listed order, recovered from the CSR structure
+    order, indptr, indices = pattern.csr
+    rows, cols = np.empty_like(order), np.empty_like(order)
+    rows[order] = np.repeat(np.arange(size), np.diff(indptr))
+    cols[order] = indices
+    standin = np.random.default_rng(0).standard_normal(rows.size)
+    reference = sp.linalg.splu(sp.csc_matrix((standin, (rows, cols)),
+                                             shape=(size, size)))
+    assert np.array_equal(pattern.perm_c, reference.perm_c)
+
+
 def _fresh_step_rhs(start_bundle, current_bundle, base, params, dt):
     """The rhs of one Picard iterate assembled from scratch (test oracle)."""
     q, num, n = base.shape

@@ -12,6 +12,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from elastic_networks import repar
 
@@ -290,20 +291,22 @@ PRIVATE_SCIPY_KEPT = {
 }
 
 
-def _private_scipy_imports(tree):
-    # each imported scipy path cut after its first private component
+def _imported_paths(tree):
+    # the dotted path of each name an absolute import binds
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            paths = [alias.name for alias in node.names]
+            yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            paths = [f"{node.module}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        for path in paths:
-            parts = path.split(".")
-            private = [k for k, part in enumerate(parts) if part.startswith("_")]
-            if parts[0] == "scipy" and private:
-                yield ".".join(parts[:private[0] + 1])
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def _private_scipy_imports(tree):
+    # each imported scipy path cut after its first private component
+    for path in _imported_paths(tree):
+        parts = path.split(".")
+        private = [k for k, part in enumerate(parts) if part.startswith("_")]
+        if parts[0] == "scipy" and private:
+            yield ".".join(parts[:private[0] + 1])
 
 
 def test_src_imports_private_scipy_modules_only_from_the_allow_list():
@@ -311,6 +314,21 @@ def test_src_imports_private_scipy_modules_only_from_the_allow_list():
              for module in _private_scipy_imports(ast.parse(path.read_text()))}
     assert found - PRIVATE_SCIPY_KEPT == set(), "private SciPy modules imported"
     assert PRIVATE_SCIPY_KEPT - found == set(), "allow-list entries no longer used"
+
+
+def _within(path, module):
+    return path == module or path.startswith(module + ".")
+
+
+def test_only_the_solver_imports_scipy_sparse_beyond_the_kept_kernels():
+    # SuperLU in solver is the one use of SciPy's Python sparse layer;
+    # other modules may import only the compiled kernels kept above
+    found = {f"{path.name}: {imported}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "solver.py"
+             for imported in _imported_paths(ast.parse(path.read_text()))
+             if _within(imported, "scipy.sparse")
+             and not any(_within(imported, kept) for kept in PRIVATE_SCIPY_KEPT)}
+    assert found == set(), "scipy.sparse imported outside solver"
 
 
 # modules that src/ may import inside a function, each with the reason:
@@ -410,3 +428,35 @@ def test_ab_pairs_summary_arithmetic_on_canned_results():
         "wall_s: change lower in 3/5 pairs (ties 1); median 3 -> 2.5 (-16.7 %); "
         "parent IQR 2")
     assert ab_pairs.summarize(pairs[:1])["wall_s"]["change"] == (0.9, 0.9, 0.9)
+
+
+def test_bench_record_entry_on_canned_results(monkeypatch):
+    # tools/bench_record.py's trend entry from runs it did not start: the
+    # environment without the seed, and per workload the inclusive
+    # quartiles of each end-to-end metric over the seeds
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    bench_record = _load(ROOT / "tools" / "bench_record.py")
+
+    def stdout(seed, wall, correct=True):
+        return (f"perfbench w seed={seed} trace=0 inputs=[]\n"
+                f"environment {json.dumps({'seed': seed, 'cores': 2})}\n"
+                + json.dumps({"correct": correct, "attempted": 9, "failed": 0,
+                              "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                          "ok_ratio": {"value": 1.0, "unit": "ratio"}}})
+                + "\n")
+
+    runs = {"a": [stdout(1, 0.3), stdout(2, 0.1), stdout(3, 0.2)],
+            "b": [stdout(1, 2.0), stdout(2, 1.0, correct=False), stdout(3, 4.0)]}
+    source = {"commit": "c0ffee", "uncommitted": False, "harness": "beef"}
+    entry = bench_record.make_entry(source, runs, ["wall_s", "ok_ratio"],
+                                    (15.5, "319 passed in 15.50s"))
+    assert entry == {
+        "commit": "c0ffee", "uncommitted": False, "harness": "beef",
+        "environment": {"cores": 2},
+        "seeds": [1, 2, 3], "tier1": {"wall_s": 15.5, "summary": "319 passed in 15.50s"},
+        "workloads": {
+            "a": {"correct": True, "wall_s": pytest.approx(
+                {"median": 0.2, "q1": 0.15, "q3": 0.25}),
+                  "ok_ratio": {"median": 1.0, "q1": 1.0, "q3": 1.0}},
+            "b": {"correct": False, "wall_s": {"median": 2.0, "q1": 1.5, "q3": 3.0},
+                  "ok_ratio": {"median": 1.0, "q1": 1.0, "q3": 1.0}}}}

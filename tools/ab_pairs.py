@@ -73,11 +73,12 @@ def format_summary(summary):
 
 
 def run_once(checkout, workload, seed, seconds):
+    """The standard output of one untraced perfbench run in checkout."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return parse_result(done.stdout)
+    return done.stdout
 
 
 def main(argv=None):
@@ -95,8 +96,8 @@ def main(argv=None):
         sides = {}
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            correct, metrics = run_once(getattr(args, side), args.workload, seed,
-                                        seconds)
+            correct, metrics = parse_result(run_once(getattr(args, side),
+                                                     args.workload, seed, seconds))
             if not correct:
                 print(f"pair {k} (seed {seed}): {side} run reported failures")
             sides[side] = metrics
