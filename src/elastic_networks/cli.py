@@ -48,31 +48,13 @@ def _print_warning(message, *_where):
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _run_command(command):
-    """command(args, state, params, config) on the loaded files (SolverConfig()
-    without --config); prints a warning of the run (the preflight's under
-    --warn) as "warning: ...", exits 1 with "error: ..." on a rejected
-    input (a collinear initial junction included), 2 with "breakdown: ..."
-    on a breakdown of the run (NC lost mid-run included)."""
-    def run(args):
-        state, params = _load(io.load_network, args.network, "network")
-        config = (SolverConfig() if args.config is None
-                  else _load(io.load_config, args.config, "config"))
-        try:
-            with warnings.catch_warnings():  # restores showwarning
-                warnings.showwarning = _print_warning
-                return command(args, state, params, config)
-        except ConfigurationError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INVALID
-        except BreakdownError as err:
-            # evolve stamps the failing step's time on a step error; a map
-            # breakdown's message already names its time
-            when = ("" if err.time is None or isinstance(err, DiffeoBreakdownError)
-                    else f" in the step to t={err.time:.6e}")
-            print(f"breakdown: {err}{when}", file=sys.stderr)
-            return EXIT_BREAKDOWN
-    return run
+def _inputs(args):
+    """(state, params, config) from the network and config files
+    (SolverConfig() without --config)."""
+    state, params = _load(io.load_network, args.network, "network")
+    config = (SolverConfig() if args.config is None
+              else _load(io.load_config, args.config, "config"))
+    return state, params, config
 
 
 def cmd_check(args):
@@ -107,8 +89,8 @@ def cmd_check(args):
     return EXIT_INVALID if failed else EXIT_OK
 
 
-@_run_command
-def cmd_simulate(args, state, params, config):
+def cmd_simulate(args):
+    state, params, config = _inputs(args)
     if args.svg:  # a network that cannot be drawn fails before any step
         io.state_to_svg(state)
     records = []
@@ -149,8 +131,8 @@ def cmd_convergence(args):
     return EXIT_OK if result.order >= threshold else EXIT_INVALID
 
 
-@_run_command
-def cmd_equivalence(args, state, params, config):
+def cmd_equivalence(args):
+    state, params, config = _inputs(args)
     # warn, not strict: constant-speed resampling carries interpolation
     # error, so the discrete endpoint stencils of the second run cannot
     # vanish to the strict preflight tolerance
@@ -228,10 +210,22 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # restores showwarning
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except OSError as err:  # a file that cannot be read or written
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
+    except ConfigurationError as err:  # a collinear initial junction included
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INVALID
+    except BreakdownError as err:  # NC lost mid-run included
+        # evolve stamps the failing step's time on a step error; a map
+        # breakdown's message already names its time
+        when = ("" if err.time is None or isinstance(err, DiffeoBreakdownError)
+                else f" in the step to t={err.time:.6e}")
+        print(f"breakdown: {err}{when}", file=sys.stderr)
+        return EXIT_BREAKDOWN
 
 
 if __name__ == "__main__":

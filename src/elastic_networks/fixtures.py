@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .geometry import CurveSamples, boundary_offsets, stencil_weights
+from .geometry import CurveSamples, stencil
 from .solver import FlowParams, NetworkState
 
 DEFAULT_N = 96
@@ -35,21 +35,14 @@ def _bump_profile(N):
     """
     x = np.linspace(0.0, 1.0, N + 1)
     g = (x**5 * (1.0 - x)**5) / (0.5**10)
-    num = N + 1
-    for node, adjust in ((0, (2, 3)), (N, (N - 2, N - 3))):
-        offs2 = boundary_offsets(node, 2, num)
-        w2 = stencil_weights(offs2, 2)
-        offs4 = boundary_offsets(node, 4, num)
-        w4 = stencil_weights(offs4, 4)
-        resid = np.array([w2 @ g[node + offs2], w4 @ g[node + offs4]])
-        cols = []
-        for j in adjust:
-            c2 = w2[list(node + offs2).index(j)] if j in node + offs2 else 0.0
-            c4 = w4[list(node + offs4).index(j)] if j in node + offs4 else 0.0
-            cols.append([c2, c4])
-        delta = np.linalg.solve(np.array(cols).T, -resid)
-        for j, d in zip(adjust, delta):
-            g[j] += d
+    for node, adjust in ((0, [2, 3]), (N, [N - 2, N - 3])):
+        # the two stencil rows at the end, spread over the whole grid
+        rows, resid = np.zeros((2, N + 1)), np.empty(2)
+        for row, order in enumerate((2, 4)):
+            offsets, weights = stencil(order, node, N + 1)
+            rows[row, node + offsets] = weights
+            resid[row] = weights @ g[node + offsets]
+        g[adjust] -= np.linalg.solve(rows[:, adjust], resid)
     return g
 
 

@@ -49,28 +49,34 @@ def stencil_weights(offsets, order):
     return np.linalg.solve(vander, rhs)
 
 
-def boundary_offsets(node, order, num_nodes):
-    """Offsets of the shifted stencil used at a node too close to an end."""
-    pts = _SHIFTED_POINTS[order]
-    start = int(np.clip(node - pts // 2, 0, num_nodes - pts))
-    return np.arange(start, start + pts) - node
+def stencil(order, node, num):
+    """(offsets, weights) of the order-th derivative at node of num
+    unit-spaced nodes: the centered band where it fits (hw <= node <
+    num - hw), elsewhere the shifted stencil of the same formal order."""
+    hw = _CENTERED_HALF_WIDTH[order]
+    if hw <= node < num - hw:
+        offsets = np.arange(-hw, hw + 1)
+    else:
+        pts = _SHIFTED_POINTS[order]
+        start = min(max(node - pts // 2, 0), num - pts)
+        offsets = np.arange(start, start + pts) - node
+    return offsets, stencil_weights(offsets, order)
 
 
 def _derivative_matrix(num, order):
     """Entries (rows, cols, vals) of the differentiation matrix on num nodes."""
     hw = _CENTERED_HALF_WIDTH[order]
-    band = np.arange(-hw, hw + 1)
+    band, weights = stencil(order, hw, num)
     interior = np.arange(hw, num - hw)
     # the centered band of every interior row at once, then the shifted
     # stencils of the hw rows at each end
     ends = [*range(hw), *range(num - hw, num)]
-    shifted = [boundary_offsets(k, order, num) for k in ends]
+    offsets, end_weights = zip(*(stencil(order, k, num) for k in ends))
     rows = [np.repeat(interior, band.size)]
-    rows += [np.full(o.size, k) for k, o in zip(ends, shifted)]
+    rows += [np.full(o.size, k) for k, o in zip(ends, offsets)]
     cols = [(interior[:, None] + band).ravel()]
-    cols += [k + o for k, o in zip(ends, shifted)]
-    vals = [np.tile(stencil_weights(band, order), interior.size)]
-    vals += [stencil_weights(o, order) for o in shifted]
+    cols += [k + o for k, o in zip(ends, offsets)]
+    vals = [np.tile(weights, interior.size), *end_weights]
     return tuple(np.concatenate(part) for part in (rows, cols, vals))
 
 
@@ -358,14 +364,9 @@ def phi_star(bundle, lam):
     )
 
 
-def h_lower(bundle, lam):
-    """Lower-order terms of the parabolic form of the flow."""
-    s = bundle.speed
-    return _h_lower(bundle.d1, bundle.d2, bundle.d3, s, s**4, lam)
-
-
-def _h_lower(d1, d2, d3, s, s4, lam):
-    # h_lower from the fields and a caller's s**4, which the step shares
+def h_lower(d1, d2, d3, s, s4, lam):
+    """Lower-order terms of the parabolic form of the flow, from a bundle's
+    first three derivatives, its speed s and the caller's s**4."""
     s6 = s**6
     p21 = _dots(d2, d1)
     coeff = (
@@ -379,7 +380,9 @@ def _h_lower(d1, d2, d3, s, s4, lam):
 
 def flow_velocity(bundle, lam):
     """Node-wise velocity in parabolic form: -f''''/|f'|^4 + h(f)."""
-    return -bundle.d4 / bundle.speed[..., None]**4 + h_lower(bundle, lam)
+    s = bundle.speed
+    return (-bundle.d4 / s[..., None]**4
+            + h_lower(bundle.d1, bundle.d2, bundle.d3, s, s**4, lam))
 
 
 def energy_gradient(bundle):

@@ -36,10 +36,9 @@ from .errors import (
 from .geometry import (
     CSRArrays,
     NetworkState,
-    boundary_offsets,
     compressed,
     csr_product,
-    stencil_weights,
+    stencil,
 )
 
 LINEAR_RESIDUAL_TOL = 1e-8
@@ -152,27 +151,27 @@ def _step_pattern(q, N, n):
     def idx(i, k, j):
         return (i * (N + 1) + k) * n + j
 
+    band4, w4 = stencil(4, 2, N + 1)
+    offs3, w3 = stencil(3, 0, N + 1)
+    offs2_lo, w2_lo = stencil(2, 0, N + 1)
+    offs2_hi, w2_hi = stencil(2, N, N + 1)
     i = np.arange(q)[:, None, None]
     j = np.arange(n)[None, :, None]
     # interior rows: f/dt + D^4 f'''' = forcing
     inner = np.arange(2, N - 1)[:, None]
     variable = [(idx(i[..., None], inner, j[..., None]),
-                 idx(i[..., None], inner + np.arange(-2, 3), j[..., None]))]
-    offs3 = boundary_offsets(0, 3, N + 1)
+                 idx(i[..., None], inner + band4, j[..., None]))]
     if q >= 2:
         # third-order junction balance in curve 0's node-0 slot: row j
         # couples component l of every curve i
         variable.append((np.arange(n)[:, None, None, None],
                          idx(i[None], offs3, j.reshape(1, 1, n, 1))))
 
-    offs2_lo = boundary_offsets(0, 2, N + 1)
-    offs2_hi = boundary_offsets(N, 2, N + 1)
     fixed = [
         (idx(i, N, j), idx(i, N, j), 1.0),  # node N: pinned outer endpoint
         # node N-1 slot: f''(1) = 0; node 1 slot: f''(0) = 0
-        (idx(i, N - 1, j), idx(i, N + offs2_hi, j),
-         stencil_weights(offs2_hi, 2) / h**2),
-        (idx(i, 1, j), idx(i, offs2_lo, j), stencil_weights(offs2_lo, 2) / h**2),
+        (idx(i, N - 1, j), idx(i, N + offs2_hi, j), w2_hi / h**2),
+        (idx(i, 1, j), idx(i, offs2_lo, j), w2_lo / h**2),
     ]
     if q == 1:
         fixed.append((idx(0, 0, j), idx(0, 0, j), 1.0))
@@ -195,8 +194,8 @@ def _step_pattern(q, N, n):
         csr=compressed(rows, cols, shape),
         csc=compressed(perm_c[cols], rows, shape),
         constants=np.concatenate([e[2].ravel() for e in entries[len(variable):]]),
-        w4=stencil_weights(range(-2, 3), 4) / h**4,
-        w3=stencil_weights(offs3, 3) / h**3,
+        w4=w4 / h**4,
+        w3=w3 / h**3,
         perm_c=perm_c,
     )
 
@@ -241,7 +240,7 @@ def _step_rhs(rhs, current, base_dt, d_pow4, e_matrices, params):
     s = current.speed[:, inner]
     s4 = s**4  # shared by the remainder and the lower-order terms
     remainder = (d_pow4 - 1.0 / s4)[..., None] * current.d4[:, inner]
-    rhs[:, inner] = base_dt + remainder + geometry._h_lower(
+    rhs[:, inner] = base_dt + remainder + geometry.h_lower(
         current.d1[:, inner], current.d2[:, inner], current.d3[:, inner], s, s4,
         params.lam[:, None])
     if e_matrices is not None:

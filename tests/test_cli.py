@@ -3,6 +3,7 @@
 import json
 import os
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from elastic_networks import (
     studies,
     wellposed,
 )
-from elastic_networks.errors import ConfigurationError, DiffeoBreakdownError
+from elastic_networks.errors import ConfigurationError, DiffeoBreakdownError, StepError
 from elastic_networks.geometry import NetworkState
 from elastic_networks.solver import SolverConfig
 
@@ -428,6 +429,34 @@ def test_temporal_convergence_prints_and_writes_the_study(tmp_path, capsys,
     assert json.loads(out.read_text()) == {"levels": [4e-6, 2e-6, 1e-6],
                                            "errors": [4e-3, 2e-3, 1e-3],
                                            "rates": list(rates)}
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (StepError("linear step residual 1.000e-03 too large"), cli.EXIT_BREAKDOWN,
+     "breakdown: "),
+    (ConfigurationError("need at least 8 intervals, got 4"), cli.EXIT_INVALID,
+     "error: "),
+], ids=["breakdown", "invalid"])
+def test_convergence_failures_exit_as_the_run_commands_do(capsys, monkeypatch,
+                                                          error, code, prefix):
+    def study():
+        raise error
+    monkeypatch.setattr(studies, "spatial_convergence", study)
+    assert cli.main(["convergence"]) == code
+    assert capsys.readouterr() == ("", f"{prefix}{error}\n")
+
+
+# shown, not raised, as without pytest's error filter
+@pytest.mark.filterwarnings("default:study warning:UserWarning")
+def test_convergence_prints_a_warning_in_cli_style(capsys, monkeypatch):
+    result = studies.StudyResult(levels=(32, 64), errors=(1e-3, 2.5e-4), rates=(2.0,))
+
+    def study():
+        warnings.warn("study warning")
+        return result
+    monkeypatch.setattr(studies, "spatial_convergence", study)
+    assert cli.main(["convergence"]) == cli.EXIT_OK
+    assert capsys.readouterr().err == "warning: study warning\n"
 
 
 def test_network_path_that_is_a_directory_is_io_error(tmp_path, capsys):

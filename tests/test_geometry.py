@@ -40,31 +40,47 @@ def test_stencil_weights_reject_underdetermined():
         geometry.stencil_weights((0, 1), 2)
 
 
-def test_boundary_offsets_stay_inside_grid():
-    for order in (1, 2, 3, 4):
+# half-width of the centered stencil, and the offsets expected at the
+# nodes 0, 1, hw, num - 2 and num - 1, per derivative order
+HALF_WIDTH = {1: 1, 2: 1, 3: 2, 4: 2}
+STENCIL_OFFSETS = {
+    1: ([0, 1, 2], [-1, 0, 1], [-1, 0, 1], [-1, 0, 1], [-2, -1, 0]),
+    2: ([0, 1, 2, 3], [-1, 0, 1], [-1, 0, 1], [-1, 0, 1], [-3, -2, -1, 0]),
+    3: ([0, 1, 2, 3, 4], [-1, 0, 1, 2, 3], [-2, -1, 0, 1, 2], [-3, -2, -1, 0, 1],
+        [-4, -3, -2, -1, 0]),
+    4: ([0, 1, 2, 3, 4, 5], [-1, 0, 1, 2, 3, 4], [-2, -1, 0, 1, 2],
+        [-4, -3, -2, -1, 0, 1], [-5, -4, -3, -2, -1, 0]),
+}
+
+
+@pytest.mark.parametrize("num", [9, 100])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_stencil_offsets_near_the_ends(order, num):
+    nodes = (0, 1, HALF_WIDTH[order], num - 2, num - 1)
+    for node, want in zip(nodes, STENCIL_OFFSETS[order]):
+        assert geometry.stencil(order, node, num)[0].tolist() == want
+
+
+def test_stencil_stays_inside_the_grid_and_is_centered_exactly_on_the_interior():
+    for order, hw in HALF_WIDTH.items():
+        band = list(range(-hw, hw + 1))
         for num in (9, 17, 100):
-            for node in (0, 1, 2, num - 2, num - 1):
-                offs = geometry.boundary_offsets(node, order, num)
-                assert node + offs[0] >= 0
-                assert node + offs[-1] <= num - 1
-                assert 0 in offs
+            for node in range(num):
+                offsets, weights = geometry.stencil(order, node, num)
+                assert (offsets.tolist() == band) == (hw <= node < num - hw)
+                assert 0 <= node + offsets[0] and node + offsets[-1] <= num - 1
+                assert 0 in offsets
+                assert np.array_equal(weights,
+                                      geometry.stencil_weights(offsets, order))
 
 
 def _loop_derivative_matrix(num, order):
-    """The derivative matrix built one entry at a time: interior rows from
-    the centered stencil, then the rows near each end from their shifted
-    stencils."""
-    hw = geometry._CENTERED_HALF_WIDTH[order]
+    """The derivative matrix built one entry at a time, each row from the
+    stencil of its node."""
     rows, cols, vals = [], [], []
-    w = geometry.stencil_weights(range(-hw, hw + 1), order)
-    for k in range(hw, num - hw):
-        for j, off in enumerate(range(-hw, hw + 1)):
-            rows.append(k)
-            cols.append(k + off)
-            vals.append(w[j])
-    for k in list(range(hw)) + list(range(num - hw, num)):
-        offs = geometry.boundary_offsets(k, order, num)
-        for off, weight in zip(offs, geometry.stencil_weights(offs, order)):
+    for k in range(num):
+        offsets, weights = geometry.stencil(order, k, num)
+        for off, weight in zip(offsets, weights):
             rows.append(k)
             cols.append(k + off)
             vals.append(weight)

@@ -17,7 +17,7 @@ from elastic_networks.errors import (
     RegularityError,
     StepError,
 )
-from elastic_networks.geometry import CurveSamples, boundary_offsets, stencil_weights
+from elastic_networks.geometry import CurveSamples, stencil
 from elastic_networks.solver import FlowParams, NetworkState, SolverConfig
 
 
@@ -560,20 +560,18 @@ def _coo_step_matrix(frozen, params, dt):
         cols.append(np.atleast_1d(c))
         vals.append(np.atleast_1d(np.asarray(v, dtype=float)))
 
-    w4 = stencil_weights(range(-2, 3), 4) / h**4
-    offs2_lo = boundary_offsets(0, 2, N + 1)
-    w2_lo = stencil_weights(offs2_lo, 2) / h**2
-    offs2_hi = boundary_offsets(N, 2, N + 1)
-    w2_hi = stencil_weights(offs2_hi, 2) / h**2
-    offs3 = boundary_offsets(0, 3, N + 1)
-    w3 = stencil_weights(offs3, 3) / h**3
+    band4, w4 = stencil(4, 2, N + 1)
+    offs2_lo, w2_lo = stencil(2, 0, N + 1)
+    offs2_hi, w2_hi = stencil(2, N, N + 1)
+    offs3, w3 = stencil(3, 0, N + 1)
+    w4, w2_lo, w2_hi, w3 = w4 / h**4, w2_lo / h**2, w2_hi / h**2, w3 / h**3
     interior = np.arange(2, N - 1)
     for i in range(q):
         d_pow4 = 1.0 / bundles[i].speed**4
         for j in range(n):
             r = idx(i, interior, j)
             add(r, r, np.full(interior.size, 1.0 / dt))
-            for m, off in enumerate(range(-2, 3)):
+            for m, off in enumerate(band4):
                 add(r, idx(i, interior + off, j), d_pow4[interior] * w4[m])
             add(idx(i, N, j), idx(i, N, j), 1.0)
             add(np.full(offs2_hi.size, idx(i, N - 1, j)), idx(i, N + offs2_hi, j),
@@ -698,7 +696,9 @@ def _fresh_step_rhs(start_bundle, current_bundle, base, params, dt):
     q, num, n = base.shape
     d_pow4 = 1.0 / start_bundle.speed**4
     remainder = (d_pow4 - 1.0 / current_bundle.speed**4)[..., None] * current_bundle.d4
-    lower = geometry.h_lower(current_bundle, params.lam[:, None])
+    s = current_bundle.speed
+    lower = geometry.h_lower(current_bundle.d1, current_bundle.d2, current_bundle.d3,
+                             s, s**4, params.lam[:, None])
     rhs = np.zeros((q, num, n))
     rhs[:, 2:num - 2] = (base / dt + remainder + lower)[:, 2:num - 2]
     rhs[:, num - 1] = params.endpoints

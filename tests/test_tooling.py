@@ -361,7 +361,6 @@ def test_src_imports_inside_functions_only_from_the_allow_list():
 # each with the reason: a private name is its own module's business
 PRIVATE_NAMES_KEPT = {
     "geometry._is_finite",  # SolverConfig's number check, as NetworkState's
-    "geometry._h_lower",  # the step's lower-order terms with its shared s**4
 }
 
 
@@ -387,6 +386,27 @@ def test_src_uses_private_names_of_other_modules_only_from_the_allow_list():
              for name in _private_names_of_other_modules(ast.parse(path.read_text()))}
     assert found - PRIVATE_NAMES_KEPT == set(), "private names of other modules used"
     assert PRIVATE_NAMES_KEPT - found == set(), "allow-list entries no longer used"
+
+
+def _names(tree):
+    # every name a module imports, reads or reads off another object
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+
+
+def test_only_geometry_picks_stencil_offsets_or_weights():
+    # geometry.stencil decides which stencil sits at which node; every
+    # other module takes a node's offsets and weights from it
+    found = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "geometry.py"
+             for name in _names(ast.parse(path.read_text()))
+             if name in ("stencil_weights", "boundary_offsets")}
+    assert found == set(), "stencil offsets or weights picked outside geometry"
 
 
 def _python_floor():
