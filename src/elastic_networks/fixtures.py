@@ -1,6 +1,7 @@
 """Ready-made networks used by the demos, the CLI and the test-suite."""
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .geometry import CurveSamples, stencil
 from .solver import FlowParams, NetworkState
@@ -80,8 +81,6 @@ def triod_bent_skewed(N=DEFAULT_N, skew=0.4):
     parametrizations; it is the natural input for the
     geometric-equivalence certificate.
     """
-    from numpy.polynomial import Polynomial
-
     x = Polynomial([0.0, 1.0])
     bump_poly = (x**5 * (1.0 - x)**5) / (0.5**10)
     primitive = bump_poly.integ()

@@ -100,7 +100,9 @@ CSRArrays = namedtuple("CSRArrays", "data indices indptr shape")
 @lru_cache(maxsize=None)
 def _block_operator(count, num):
     """count copies, down the diagonal, of the order 1..4 matrices on num
-    nodes stacked vertically: CSRArrays of shape (count 4 num, count num)."""
+    nodes stacked vertically: CSRArrays of shape (count 4 num, count num),
+    and the read-only h^k of the orders k = 1..4, shaped (4, 1, 1) to
+    divide the (..., 4, num, n) product into derivatives."""
     entries = [_derivative_matrix(num, k) for k in range(1, 5)]
     # order k's rows sit below those of the orders before it, and each
     # curve's block 4 num rows and num columns below the one before
@@ -110,7 +112,9 @@ def _block_operator(count, num):
     shape = (4 * num * count, num * count)
     order, indptr, indices = compressed((rows + 4 * num * curve).ravel(),
                                         (cols + num * curve).ravel(), shape)
-    return CSRArrays(np.tile(vals, count)[order], indices, indptr, shape)
+    scales = np.array([(1.0 / (num - 1))**k for k in range(1, 5)])[:, None, None]
+    scales.flags.writeable = False
+    return CSRArrays(np.tile(vals, count)[order], indices, indptr, shape), scales
 
 
 def csr_product(matrix, x):
@@ -125,14 +129,6 @@ def csr_product(matrix, x):
         csr_matvecs(rows, cols, x.shape[1], matrix.indptr, matrix.indices,
                     matrix.data, x.ravel(), out.ravel())
     return out
-
-
-@lru_cache(maxsize=None)
-def _scales(num):
-    # h^order for the orders 1..4, shaped to divide a (..., 4, num, n) array
-    scales = np.array([(1.0 / (num - 1))**order for order in range(1, 5)])
-    scales.flags.writeable = False
-    return scales[:, None, None]
 
 
 def _is_finite(value):
@@ -256,8 +252,9 @@ def finite_differences(curves):
         return last[1]
     *lead, num, n = nodes.shape
     count = math.prod(lead)
-    raw = csr_product(_block_operator(count, num), nodes.reshape(count * num, n))
-    d = raw.reshape(*lead, 4, num, n) / _scales(num)
+    operator, scales = _block_operator(count, num)
+    raw = csr_product(operator, nodes.reshape(count * num, n))
+    d = raw.reshape(*lead, 4, num, n) / scales
     d1, d2, d3, d4 = (d[..., k, :, :] for k in range(4))
     # |d1| with the squares summed in component order, as np.linalg.norm
     # sums fewer than eight components, so the speeds match it bit for bit

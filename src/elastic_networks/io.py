@@ -15,6 +15,10 @@ from .solver import FlowParams, NetworkState, SolverConfig
 
 NETWORK_FORMAT = "elastic-network/1"
 TRAJECTORY_FORMAT = "elastic-network-trajectory/1"
+# the keys a network file, a trajectory file and one of its frames may hold
+_NETWORK_KEYS = {"format", "time", "curves", "endpoints", "lambda"}
+_TRAJECTORY_KEYS = {"format", "endpoints", "lambda", "frames"}
+_FRAME_KEYS = {"time", "curves"}
 # side of the square SVG drawing and its blank border, in pixels
 SVG_SIZE = 400
 SVG_MARGIN = 20
@@ -36,6 +40,14 @@ def _require(value, kind, name):
         noun = "a JSON object" if kind is dict else "a JSON list"
         raise ConfigurationError(f"{name} must be {noun}, got {type(value).__name__}")
     return value
+
+
+def _require_keys(data, allowed, kind):
+    """data, if it holds no key outside allowed; kind names the file or part."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ConfigurationError(f"unknown {kind} keys: {sorted(unknown)}")
+    return data
 
 
 def _is_number(item):
@@ -63,6 +75,7 @@ def network_from_dict(data):
         raise ConfigurationError(
             f"unsupported network format {data.get('format')!r}"
         )
+    _require_keys(data, _NETWORK_KEYS, "network")
     state = _state_from(data["curves"], data.get("time", 0.0))
     return state, _params_from(data, [state])
 
@@ -106,10 +119,8 @@ def save_config(path, config):
 def load_config(path):
     with open(path) as fh:
         data = _require(json.load(fh), dict, "a config file")
-    unknown = set(data) - set(SolverConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    return SolverConfig(**data)
+    return SolverConfig(**_require_keys(data, SolverConfig.__dataclass_fields__,
+                                        "config"))
 
 
 def _frame_to_dict(state):
@@ -131,8 +142,11 @@ def trajectory_from_dict(data):
         raise ConfigurationError(
             f"unsupported trajectory format {data.get('format')!r}"
         )
-    frames = [_state_from(_require(f, dict, "a frame")["curves"], f["time"])
-              for f in _require(data["frames"], list, "frames")]
+    _require_keys(data, _TRAJECTORY_KEYS, "trajectory")
+    frames = []
+    for frame in _require(data["frames"], list, "frames"):
+        _require_keys(_require(frame, dict, "a frame"), _FRAME_KEYS, "frame")
+        frames.append(_state_from(frame["curves"], frame["time"]))
     return frames, _params_from(data, frames)
 
 

@@ -191,6 +191,25 @@ def test_network_file_holding_a_list_is_invalid(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_network_file_with_an_unknown_key_is_invalid(tmp_path, capsys, command):
+    # a misspelt "time" must not load as the default time 0.0
+    data = io.network_to_dict(*fixtures.triod_bent(N=32))
+    data["tme"] = data.pop("time")
+    path = str(tmp_path / "net.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    out = str(tmp_path / "run")
+    arguments = {"check": [], "simulate": [
+        "--config", _write_config(tmp_path, dt=1e-5, t_end=2e-5), "--out", out]}
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([command, "--network", path, *arguments[command]])
+    err = capsys.readouterr().err
+    assert exc_info.value.code == cli.EXIT_INVALID
+    assert "invalid network file: unknown network keys: ['tme']" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("data", ["abc", [], None, 5],
                          ids=["string", "list", "null", "number"])
 def test_config_file_that_is_no_object_is_invalid(tmp_path, capsys, data):
@@ -215,9 +234,10 @@ def _trajectory_json(**fields):
 @pytest.mark.parametrize("data", [
     [1], _trajectory_json(frames=3), _trajectory_json(frames=[3]),
     _trajectory_json(frames=[{"time": 0.0, "curves": 4}]),
-    _trajectory_json(format="something-else"),
+    _trajectory_json(format="something-else"), _trajectory_json(note=1),
+    _trajectory_json(frames=[{**_trajectory_json()["frames"][0], "tme": 0.0}]),
 ], ids=["top-level-list", "frames-int", "frame-int", "frame-curves-int",
-        "wrong-format"])
+        "wrong-format", "unknown-key", "frame-unknown-key"])
 def test_trajectory_of_the_wrong_json_shape_is_rejected(data):
     with pytest.raises(ConfigurationError):
         io.trajectory_from_dict(data)

@@ -346,7 +346,7 @@ def test_stacked_bundle_equals_per_curve_bundles(q, n):
 @pytest.mark.parametrize("q, n, N", [(1, 2, 32), (3, 2, 128), (4, 3, 2048)])
 def test_block_operator_kernel_product_equals_matmul_bit_for_bit(q, n, N):
     # finite_differences calls the compiled kernel behind @ directly
-    operator = geometry._block_operator(q, N + 1)
+    operator, _ = geometry._block_operator(q, N + 1)
     matrix = sparse.csr_matrix(operator[:3], shape=operator.shape)
     x = np.random.default_rng(q * n).standard_normal((q * (N + 1), n))
     assert geometry.csr_product(operator, x).tobytes() == (matrix @ x).tobytes()
@@ -356,7 +356,7 @@ def test_block_operator_kernel_product_equals_matmul_bit_for_bit(q, n, N):
 def test_block_operator_equals_scipy_block_diagonal(q, N):
     # the NumPy-built CSR arrays are the ones SciPy's canonical format
     # holds for the same block-diagonal stack, dtypes included
-    built = geometry._block_operator(q, N + 1)
+    built, scales = geometry._block_operator(q, N + 1)
     stacked = sparse.vstack([_scipy_derivative_matrix(N + 1, order)
                              for order in range(1, 5)])
     oracle = sparse.block_diag([stacked] * q, format="csr")
@@ -365,6 +365,9 @@ def test_block_operator_equals_scipy_block_diagonal(q, N):
         got, want = getattr(built, field), getattr(oracle, field)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+    # and h^k, read-only, to divide each order's rows by
+    assert np.array_equal(scales.ravel(), [(1.0 / N)**k for k in range(1, 5)])
+    assert scales.shape == (4, 1, 1) and not scales.flags.writeable
 
 
 def test_energy_gradient_of_a_network_is_its_curves_gradients():

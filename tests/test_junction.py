@@ -46,6 +46,10 @@ def test_span_dimension():
     assert junction.span_dimension(np.array([[1.0, 0.0, 0.0],
                                              [0.0, 1.0, 0.0],
                                              [0.0, 0.0, 1.0]])) == 3
+    # the planar shortcut turns zero rows down (their Frobenius norm is
+    # zero), and then the SVD's largest singular value is zero
+    for shape in ((3, 2), (4, 3)):
+        assert junction.span_dimension(np.zeros(shape)) == 0
 
 
 def _svd_span_dimension(tangents):

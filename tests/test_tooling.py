@@ -331,13 +331,6 @@ def test_only_the_solver_imports_scipy_sparse_beyond_the_kept_kernels():
     assert found == set(), "scipy.sparse imported outside solver"
 
 
-# modules that src/ may import inside a function, each with the reason:
-# an import there costs a lookup on every call and hides a dependency
-IMPORTS_IN_FUNCTIONS_KEPT = {
-    "numpy.polynomial",  # NumPy loads it lazily; only triod_bent_skewed needs it
-}
-
-
 def _imports_in_functions(tree):
     # the module of each import statement inside a def
     for function in ast.walk(tree):
@@ -350,11 +343,12 @@ def _imports_in_functions(tree):
                 yield "." * node.level + (node.module or "")
 
 
-def test_src_imports_inside_functions_only_from_the_allow_list():
-    found = {module for path in sorted(SRC.glob("*.py"))
+def test_src_imports_nothing_inside_functions():
+    # an import inside a function costs a lookup on every call and hides
+    # a dependency from the module's head
+    found = {f"{path.name}: {module}" for path in sorted(SRC.glob("*.py"))
              for module in _imports_in_functions(ast.parse(path.read_text()))}
-    assert found - IMPORTS_IN_FUNCTIONS_KEPT == set(), "imports inside functions"
-    assert IMPORTS_IN_FUNCTIONS_KEPT - found == set(), "allow-list entries no longer used"
+    assert found == set(), "imports inside functions"
 
 
 # private names of another package module that src/ may read or write,
